@@ -2,9 +2,9 @@
 
 use crate::catalog::Catalog;
 
-use crate::explain::{ObsReport, TempStat};
-use crate::options::{Durability, QueryOptions, Strategy};
-use crate::plan_exec::PlanExecutor;
+use crate::explain::{decision_header, ObsReport, TempStat};
+use crate::options::{file_store_from_env, QueryOptions, Resolved, Strategy};
+use crate::plan_exec::{observed_op, PlanExecutor};
 use crate::Result;
 use nsql_analyzer::{query_fingerprint, query_tree, validate_query, QueryTree};
 use nsql_core::{transform_query, transform_query_traced, TransformPlan};
@@ -78,8 +78,8 @@ pub struct Database {
 
 impl Database {
     /// Database over a default-sized storage (`B = 6` buffer pages,
-    /// 512-byte pages). Honors `NSQL_DURABILITY` (see
-    /// [`Durability::from_env`]): under `file`, the database sits on a
+    /// 512-byte pages). Honors `NSQL_DURABILITY` (`memory`, `file`, or
+    /// `file:<dir>`; see README.md): under `file`, the database sits on a
     /// fresh file-backed store in a private directory that is removed when
     /// the database drops — page-I/O counts are identical to the memory
     /// backend by construction, so experiment output does not change.
@@ -109,24 +109,18 @@ impl Database {
             nsql_storage::StorageError,
         >,
     ) -> Database {
-        match Durability::from_env() {
-            Durability::Memory => Database::assemble(Catalog::new(memory()), None, None),
-            Durability::File(base) => {
+        match file_store_from_env() {
+            None => Database::assemble(Catalog::new(memory()), None, None),
+            Some((base, owned)) => {
                 // Bare `NSQL_DURABILITY=file` means "same engine, durable
                 // backend": each Database gets a private subdirectory so
                 // concurrent instances never share a store, removed on drop.
-                let seq = DATA_DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-                let dir = if std::env::var("NSQL_DURABILITY")
-                    .map(|v| v.eq_ignore_ascii_case("file"))
-                    .unwrap_or(false)
-                {
-                    let unique =
-                        format!("nsql-data-{}-{}", std::process::id(), seq);
-                    (base.join(unique), true)
+                let path = if owned {
+                    let seq = DATA_DIR_SEQ.fetch_add(1, Ordering::Relaxed);
+                    base.join(format!("nsql-data-{}-{}", std::process::id(), seq))
                 } else {
-                    (base, false)
+                    base
                 };
-                let (path, owned) = dir;
                 let (storage, _report) = file(&path).unwrap_or_else(|e| {
                     panic!(
                         "NSQL_DURABILITY=file: cannot open store at {}: {e}",
@@ -288,19 +282,19 @@ impl Database {
         let span = tracer.begin("parse");
         let q = parse_one_select(sql)?;
         tracer.end(span);
-        self.run_observed(&q, opts, tracer, obs)
+        self.run_observed(&q, opts, &opts.resolve()?, tracer, obs)
     }
 
     /// Run a parsed query block under explicit options.
     pub fn run_query(&self, q: &QueryBlock, opts: &QueryOptions) -> Result<QueryOutcome> {
         let (tracer, obs) = self.obs_handles(opts);
-        self.run_observed(q, opts, tracer, obs)
+        self.run_observed(q, opts, &opts.resolve()?, tracer, obs)
     }
 
     /// Tracer + executor observability for one query, per
     /// [`QueryOptions::observe`]. The tracer's I/O probe is a pure load of
     /// the storage counters — observation never perturbs what it measures.
-    fn obs_handles(&self, opts: &QueryOptions) -> (Tracer, Option<ExecObs>) {
+    pub(crate) fn obs_handles(&self, opts: &QueryOptions) -> (Tracer, Option<ExecObs>) {
         if !opts.observe {
             return (Tracer::disabled(), None);
         }
@@ -317,18 +311,20 @@ impl Database {
     /// the query, then folds the completed call (success *or* failure) into
     /// the statistics registry and — past the configured threshold — the
     /// slow-query log. Every observation here is a pure load of storage
-    /// counters or registry side-state: counted I/O never moves.
-    fn run_observed(
+    /// counters or registry side-state: counted I/O never moves. `r` is
+    /// `opts` resolved once at statement start ([`QueryOptions::resolve`]).
+    pub(crate) fn run_observed(
         &self,
         q: &QueryBlock,
         opts: &QueryOptions,
+        r: &Resolved,
         tracer: Tracer,
         exec_obs: Option<ExecObs>,
     ) -> Result<QueryOutcome> {
         let registry = self.catalog.stats_registry();
         if !registry.enabled() {
             let mut refusals = 0;
-            return self.run_strategy(q, opts, &tracer, &exec_obs, &mut refusals);
+            return self.run_strategy(q, opts, r, &tracer, &exec_obs, &mut refusals);
         }
         // One snapshot per statement: every scan of a stat view inside this
         // statement (nested blocks included) sees the same materialization.
@@ -337,12 +333,11 @@ impl Database {
         let t0 = Instant::now();
         let io0 = self.catalog.storage().io_snapshot();
         let mut refusals = 0;
-        let result = self.run_strategy(q, opts, &tracer, &exec_obs, &mut refusals);
+        let result = self.run_strategy(q, opts, r, &tracer, &exec_obs, &mut refusals);
         let micros = t0.elapsed().as_micros() as u64;
         let d = self.catalog.storage().io_snapshot().since(&io0);
-        let strategy = opts.strategy.resolve().name().to_string();
-        let exec_mode =
-            if opts.exec_mode.vectorized() { "vector" } else { "row" }.to_string();
+        let strategy = r.strategy.name().to_string();
+        let exec_mode = if r.vectorized { "vector" } else { "row" }.to_string();
         let fingerprint = query_fingerprint(q);
         registry.record_statement(&StatementSample {
             fingerprint: fingerprint.clone(),
@@ -354,27 +349,25 @@ impl Database {
             error: result.is_err(),
             refusals,
         });
-        if let Some(threshold_us) = opts.slow_query_threshold_us() {
-            if micros >= threshold_us {
-                let explain = match &result {
-                    Ok(out) => out.explain.clone(),
-                    Err(e) => vec![format!("error: {e}")],
-                };
-                let seq = registry.record_slow(SlowQuery {
-                    seq: 0,
-                    sql: nsql_sql::print_query(q),
-                    fingerprint,
-                    micros,
-                    strategy,
-                    reads: d.reads,
-                    writes: d.writes,
-                    explain,
-                });
-                if let Some(obs) = &exec_obs {
-                    obs.registry.event(format!(
-                        "slow query #{seq}: {micros} us (threshold {threshold_us} us)"
-                    ));
-                }
+        if let Some(threshold_us) = r.slow_query_us.filter(|&t| micros >= t) {
+            let explain = match &result {
+                Ok(out) => out.explain.clone(),
+                Err(e) => vec![format!("error: {e}")],
+            };
+            let seq = registry.record_slow(SlowQuery {
+                seq: 0,
+                sql: nsql_sql::print_query(q),
+                fingerprint,
+                micros,
+                strategy,
+                reads: d.reads,
+                writes: d.writes,
+                explain,
+            });
+            if let Some(obs) = &exec_obs {
+                obs.registry.event(format!(
+                    "slow query #{seq}: {micros} us (threshold {threshold_us} us)"
+                ));
             }
         }
         result
@@ -384,6 +377,7 @@ impl Database {
         &self,
         q: &QueryBlock,
         opts: &QueryOptions,
+        r: &Resolved,
         tracer: &Tracer,
         exec_obs: &Option<ExecObs>,
         refusals: &mut u64,
@@ -397,114 +391,39 @@ impl Database {
             storage.clear_buffer();
         }
         let before = storage.io_stats();
-        let threads = if opts.threads == 0 {
-            nsql_exec_par::threads_from_env()
-        } else {
-            opts.threads
-        };
-        let vectorized = opts.exec_mode.vectorized();
-        let cache_mode = opts.cache.resolve();
-        let mut explain = Vec::new();
         let mut temps = Vec::new();
-        let relation = match opts.strategy.resolve() {
-            Strategy::Auto => unreachable!("Strategy::resolve never returns Auto"),
-            Strategy::Batched => {
-                explain.push(
-                    "strategy: batched correlated evaluation (sort-deduplicated outer bindings)"
-                        .to_string(),
-                );
-                let mut evaluator = NestedIter::new(&self.catalog, storage.clone());
-                if cache_mode.enabled() {
-                    evaluator = evaluator.with_query_cache(Arc::clone(&self.cache));
-                }
-                if let Some(budget) = opts.memo_budget {
-                    evaluator = evaluator.with_memo_budget(budget);
-                }
-                let op = match &exec_obs {
-                    Some(obs) => {
-                        let op = obs.registry.op("batched evaluation");
-                        obs.set_current(Some(Arc::clone(&op)));
-                        evaluator = evaluator.with_obs(obs.clone());
-                        Some(op)
-                    }
-                    None => None,
-                };
-                let span = tracer.begin("execute: batched");
-                let io0 = storage.io_snapshot();
-                let t0 = Instant::now();
-                let rel = evaluator.eval_query_batched(q, threads);
-                if let Some(op) = &op {
-                    op.wall_ns
-                        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    let d = storage.io_snapshot().since(&io0);
-                    op.reads.fetch_add(d.reads, Ordering::Relaxed);
-                    op.writes.fetch_add(d.writes, Ordering::Relaxed);
-                    op.hits.fetch_add(d.hits, Ordering::Relaxed);
-                    op.misses.fetch_add(d.misses, Ordering::Relaxed);
-                    if let Ok(rel) = &rel {
-                        op.rows_out.add(0, rel.len() as u64);
-                    }
-                }
-                tracer.end(span);
-                if cache_mode.enabled() {
-                    let (h, m) = evaluator.cache_counts();
-                    explain.push(format!(
-                        "cache: mode {}, inner-block {h} hit(s), {m} miss(es)",
-                        cache_mode.name()
-                    ));
-                }
-                rel?
-            }
-            Strategy::NestedIteration => {
-                explain.push("strategy: nested iteration (System R)".to_string());
-                if vectorized {
-                    explain.push(
-                        "exec mode: vectorized (batch kernels, per-operator row fallback)"
-                            .to_string(),
-                    );
-                }
+        let (relation, explain) = match r.strategy {
+            Strategy::Auto => unreachable!("QueryOptions::resolve never leaves Strategy::Auto"),
+            Strategy::NestedIteration | Strategy::Batched => {
+                let batched = r.strategy == Strategy::Batched;
                 let mut evaluator = NestedIter::new(&self.catalog, storage.clone())
-                    .with_vectorized(vectorized);
-                if cache_mode.enabled() {
+                    .with_vectorized(r.vectorized);
+                if r.cache.enabled() {
                     evaluator = evaluator.with_query_cache(Arc::clone(&self.cache));
                 }
                 if let Some(budget) = opts.memo_budget {
                     evaluator = evaluator.with_memo_budget(budget);
                 }
-                let op = match &exec_obs {
-                    Some(obs) => {
-                        let op = obs.registry.op("nested iteration");
-                        obs.set_current(Some(Arc::clone(&op)));
-                        evaluator = evaluator.with_obs(obs.clone());
-                        Some(op)
-                    }
-                    None => None,
+                if let Some(obs) = exec_obs {
+                    evaluator = evaluator.with_obs(obs.clone());
+                }
+                let (op_label, span_label) = if batched {
+                    ("batched evaluation", "execute: batched")
+                } else {
+                    ("nested iteration", "execute: nested iteration")
                 };
-                let span = tracer.begin("execute: nested iteration");
-                let io0 = storage.io_snapshot();
-                let t0 = Instant::now();
-                let rel = evaluator.eval_query_threads(q, threads);
-                if let Some(op) = &op {
-                    op.wall_ns
-                        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    let d = storage.io_snapshot().since(&io0);
-                    op.reads.fetch_add(d.reads, Ordering::Relaxed);
-                    op.writes.fetch_add(d.writes, Ordering::Relaxed);
-                    op.hits.fetch_add(d.hits, Ordering::Relaxed);
-                    op.misses.fetch_add(d.misses, Ordering::Relaxed);
-                    if let Ok(rel) = &rel {
-                        op.rows_out.add(0, rel.len() as u64);
+                let span = tracer.begin(span_label);
+                let rows = |rel: &Relation| rel.len() as u64;
+                let rel = observed_op(exec_obs.as_ref(), storage, op_label, 0, rows, || {
+                    if batched {
+                        evaluator.eval_query_batched(q, r.threads)
+                    } else {
+                        evaluator.eval_query_threads(q, r.threads)
                     }
-                }
+                });
                 tracer.end(span);
-                if cache_mode.enabled() {
-                    let (h, m) = evaluator.cache_counts();
-                    explain.push(format!(
-                        "cache: mode {}, inner-block {h} hit(s), {m} miss(es)",
-                        cache_mode.name()
-                    ));
-                }
-                rel?
+                let counts = r.cache.enabled().then(|| evaluator.cache_counts());
+                (rel?, decision_header(r, opts.join_policy, None, counts))
             }
             Strategy::Transform => {
                 let mut unnest = opts.unnest.clone();
@@ -520,29 +439,15 @@ impl Database {
                     *refusals += 1;
                     e
                 })?;
-                explain.push(format!(
-                    "strategy: transform ({} temp table{}), join policy: {}",
-                    plan.temp_count(),
-                    if plan.temp_count() == 1 { "" } else { "s" },
-                    opts.join_policy.name()
-                ));
-                if vectorized {
-                    explain.push(
-                        "exec mode: vectorized (batch kernels, per-operator row fallback)"
-                            .to_string(),
-                    );
-                }
-                explain.extend(plan.trace.iter().cloned());
-                explain.push(format!("canonical: {}", nsql_sql::print_query(&plan.canonical)));
+                let mut explain = decision_header(r, opts.join_policy, Some(&plan), None);
                 let mut exec =
-                    Exec::with_threads(storage.clone(), threads).with_vectorized(vectorized);
+                    Exec::with_threads(storage.clone(), r.threads).with_vectorized(r.vectorized);
                 if let Some(obs) = &exec_obs {
                     exec = exec.with_obs(obs.clone());
                 }
                 let mut pe = PlanExecutor::new(exec, &self.catalog, opts.join_policy);
                 pe.set_index_use(opts.index_use);
-                if cache_mode.enabled() {
-                    explain.push(format!("cache: mode {}", cache_mode.name()));
+                if r.cache.enabled() {
                     pe.set_cache(crate::result_cache::CacheCtx {
                         cache: Arc::clone(&self.cache),
                         fingerprint: format!(
@@ -553,7 +458,7 @@ impl Database {
                             storage.buffer_pages()
                         ),
                         epoch: self.catalog.epoch(),
-                        rewrite: cache_mode.rewrite(),
+                        rewrite: r.cache.rewrite(),
                     });
                 }
                 let span = tracer.begin("execute plan");
@@ -573,11 +478,11 @@ impl Database {
                 if !opts.keep_temps {
                     pe.drop_temps();
                 }
-                rel
+                (rel, explain)
             }
         };
         let io = storage.io_stats().since(&before);
-        if cache_mode.enabled() {
+        if r.cache.enabled() {
             // One source of truth for the lifetime cache counters: mirror
             // them into the statistics registry (which feeds the
             // `nsql_stat_cache` view), and render the obs event from that

@@ -17,6 +17,8 @@ pub enum DbError {
     Type(nsql_types::TypeError),
     /// Catalog-level failure (duplicate table, unknown table, …).
     Catalog(String),
+    /// Malformed query option, e.g. a bad `NSQL_THREADS` value.
+    Config(String),
 }
 
 impl fmt::Display for DbError {
@@ -28,6 +30,7 @@ impl fmt::Display for DbError {
             DbError::Engine(e) => write!(f, "{e}"),
             DbError::Type(e) => write!(f, "{e}"),
             DbError::Catalog(m) => write!(f, "catalog error: {m}"),
+            DbError::Config(m) => write!(f, "configuration error: {m}"),
         }
     }
 }

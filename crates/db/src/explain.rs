@@ -12,10 +12,11 @@
 //! catalog page counts (`Pt2 ≤ Pi`, `Pt3 ≤ Pj`), mirroring what an
 //! optimizer without statistics would assume.
 
-use crate::options::{QueryOptions, Strategy};
+use crate::options::{JoinPolicy, QueryOptions, Resolved, Strategy};
 use crate::{Database, Result};
 use nsql_analyzer::resolve::level_column_refs;
 use nsql_analyzer::{query_tree, NestingType};
+use nsql_core::{transform_query, TransformPlan};
 use nsql_core::cost::{
     batched_cost, ja2_cost, nested_iteration_cost_j, transformed_merge_join_cost,
     BatchedParams, Ja2Params, JoinMethod, StrategyCosts, StrategyKind,
@@ -294,66 +295,31 @@ impl Database {
         analyze: bool,
         opts: &QueryOptions,
     ) -> Result<ExplainReport> {
+        let r = opts.resolve()?;
         let tree = query_tree(self.catalog(), q)?;
         let is_ja = tree.contains(NestingType::TypeJA);
         let correlated = is_ja || tree.contains(NestingType::TypeJ);
 
-        // Run (ANALYZE) or transform-only (plain EXPLAIN).
+        // Run (ANALYZE) or transform-only (plain EXPLAIN). Both print the
+        // same decision header, from the same resolved options.
         let (strategy, temps, io, rows, obs) = if analyze {
             let run_opts = QueryOptions { observe: true, ..opts.clone() };
-            let out = self.run_query(q, &run_opts)?;
+            let (tracer, exec_obs) = self.obs_handles(&run_opts);
+            let out = self.run_observed(q, &run_opts, &r, tracer, exec_obs)?;
             (out.explain, out.temps, Some(out.io), Some(out.relation.len()), out.obs)
         } else {
-            // Plain EXPLAIN renders the same per-strategy header lines an
-            // ANALYZE run would: strategy, exec mode, cache mode. The
-            // nested-iteration path used to print the bare strategy line
-            // only — keep the two paths in lockstep.
-            let strategy = match opts.strategy.resolve() {
-                Strategy::Auto => unreachable!("Strategy::resolve never returns Auto"),
-                Strategy::NestedIteration => {
-                    let mut lines = vec!["strategy: nested iteration (System R)".to_string()];
-                    lines.extend(mode_lines(opts));
-                    lines
-                }
-                Strategy::Batched => {
-                    // Batched evaluation is a row strategy — no vectorized
-                    // header line, matching the ANALYZE path.
-                    let mut lines = vec![
-                        "strategy: batched correlated evaluation \
-                         (sort-deduplicated outer bindings)"
-                            .to_string(),
-                    ];
-                    let cache = opts.cache.resolve();
-                    if cache.enabled() {
-                        lines.push(format!("cache: mode {}", cache.name()));
-                    }
-                    lines
-                }
-                Strategy::Transform => {
-                    let plan = nsql_core::transform_query(self.catalog(), q, &opts.unnest)?;
-                    let mut lines = vec![format!(
-                        "strategy: transform ({} temp table{}), join policy: {}",
-                        plan.temp_count(),
-                        if plan.temp_count() == 1 { "" } else { "s" },
-                        opts.join_policy.name()
-                    )];
-                    lines.extend(mode_lines(opts));
-                    lines.extend(plan.trace.clone());
-                    lines.push(format!(
-                        "canonical: {}",
-                        nsql_sql::print_query(&plan.canonical)
-                    ));
-                    lines
-                }
+            let plan = match r.strategy {
+                Strategy::Transform => Some(transform_query(self.catalog(), q, &opts.unnest)?),
+                _ => None,
             };
-            (strategy, Vec::new(), None, None, None)
+            let header = decision_header(&r, opts.join_policy, plan.as_ref(), None);
+            (header, Vec::new(), None, None, None)
         };
 
-        let chosen = match opts.strategy.resolve() {
-            Strategy::Auto => unreachable!("Strategy::resolve never returns Auto"),
-            Strategy::NestedIteration => "nested iteration (System R baseline)".to_string(),
-            Strategy::Batched => "batched correlated evaluation".to_string(),
+        let chosen = match r.strategy {
             Strategy::Transform => chosen_from_trace(&strategy),
+            Strategy::Batched => "batched correlated evaluation".to_string(),
+            _ => "nested iteration (System R baseline)".to_string(),
         };
 
         let params = if is_ja { self.ja2_params_for(q, &temps) } else { None };
@@ -521,18 +487,43 @@ impl Database {
     }
 }
 
-/// Execution-mode header lines shared by plain `EXPLAIN` across both
-/// strategies: vectorization and cache policy, after `Auto` resolution.
-fn mode_lines(opts: &QueryOptions) -> Vec<String> {
-    let mut lines = Vec::new();
-    if opts.exec_mode.vectorized() {
-        lines.push(
-            "exec mode: vectorized (batch kernels, per-operator row fallback)".to_string(),
-        );
+/// The decision header every report prints, executed or not: the strategy
+/// line, the exec-mode line when the vector kernels run, the NEST-G trace
+/// and canonical form when `plan` is the transform's, and the cache line.
+/// `cache_counts` (inner-block hits and misses, known only after nested
+/// iteration or batched evaluation ran) extends the cache line.
+pub(crate) fn decision_header(
+    r: &Resolved,
+    join_policy: JoinPolicy,
+    plan: Option<&TransformPlan>,
+    cache_counts: Option<(u64, u64)>,
+) -> Vec<String> {
+    let mut lines = vec![match (plan, r.strategy) {
+        (Some(plan), _) => format!(
+            "strategy: transform ({} temp table{}), join policy: {}",
+            plan.temp_count(),
+            if plan.temp_count() == 1 { "" } else { "s" },
+            join_policy.name()
+        ),
+        (None, Strategy::Batched) => {
+            "strategy: batched correlated evaluation (sort-deduplicated outer bindings)"
+                .to_string()
+        }
+        (None, _) => "strategy: nested iteration (System R)".to_string(),
+    }];
+    if r.vectorized {
+        lines.push("exec mode: vectorized (batch kernels, per-operator row fallback)".to_string());
     }
-    let cache = opts.cache.resolve();
-    if cache.enabled() {
-        lines.push(format!("cache: mode {}", cache.name()));
+    if let Some(plan) = plan {
+        lines.extend(plan.trace.iter().cloned());
+        lines.push(format!("canonical: {}", nsql_sql::print_query(&plan.canonical)));
+    }
+    if r.cache.enabled() {
+        let mut line = format!("cache: mode {}", r.cache.name());
+        if let Some((h, m)) = cache_counts {
+            line.push_str(&format!(", inner-block {h} hit(s), {m} miss(es)"));
+        }
+        lines.push(line);
     }
     lines
 }

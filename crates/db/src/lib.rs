@@ -6,10 +6,13 @@
 //! [`Database`] ties the workspace together:
 //!
 //! ```text
-//!   SQL text ──parse──▶ QueryBlock
+//!   SQL text ──parse──▶ QueryBlock ──▶ QueryOptions::resolve (NSQL_* read once)
 //!        │
 //!        ├── Strategy::NestedIteration ──▶ nsql-engine::NestedIter
 //!        │        (System R reference semantics, the paper's baseline)
+//!        │
+//!        ├── Strategy::Batched ──▶ NestedIter::eval_query_batched
+//!        │        (inner block once per distinct outer binding)
 //!        │
 //!        └── Strategy::Transform ──▶ nsql-core::transform_query
 //!                 │      (NEST-N-J / NEST-JA2 / buggy NEST-JA / NEST-G)
@@ -38,8 +41,7 @@ pub use error::DbError;
 pub use explain::{ExplainReport, ObsReport, PredictedCost, TempStat};
 pub use nsql_cache::{CacheStats, QueryCache};
 pub use options::{
-    CacheMode, DuplicateSemantics, Durability, ExecMode, IndexUse, JoinPolicy, QueryOptions,
-    Strategy,
+    CacheMode, DuplicateSemantics, ExecMode, IndexUse, JoinPolicy, QueryOptions, Strategy,
 };
 
 /// Result alias.

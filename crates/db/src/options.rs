@@ -1,7 +1,37 @@
 //! Query-evaluation options.
 
+use crate::{DbError, Result};
 use nsql_core::UnnestOptions;
 use std::path::PathBuf;
+
+/// An environment lookup: the process environment in production, a fake in
+/// tests.
+type Env<'a> = &'a dyn Fn(&str) -> Option<String>;
+
+/// The process environment as an [`Env`]: every `NSQL_*` knob is read here.
+fn process_env(key: &str) -> Option<String> {
+    std::env::var(key).ok()
+}
+
+/// `NSQL_DURABILITY`, read once per [`crate::Database::new`]: `None` (unset,
+/// `memory`, or unrecognised) keeps pages in memory. Bare `file` yields a
+/// base directory (`NSQL_DATA_DIR`, else the system temp dir) under which
+/// the database creates and owns a private subdirectory (`true`);
+/// `file:<dir>` yields exactly `<dir>`, which the database does not own
+/// (`false`).
+pub(crate) fn file_store_from_env() -> Option<(PathBuf, bool)> {
+    let v = process_env("NSQL_DURABILITY")?;
+    if v.eq_ignore_ascii_case("file") {
+        let base = std::env::var_os("NSQL_DATA_DIR")
+            .map(PathBuf::from)
+            .unwrap_or_else(std::env::temp_dir);
+        return Some((base, true));
+    }
+    match v.strip_prefix("file:") {
+        Some(dir) if !dir.is_empty() => Some((PathBuf::from(dir), false)),
+        _ => None,
+    }
+}
 
 /// Physical join-method policy for transformed queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -56,41 +86,6 @@ impl IndexUse {
             IndexUse::CostBased => "cost-based",
             IndexUse::Prefer => "prefer-index",
             IndexUse::Never => "no-index",
-        }
-    }
-}
-
-/// Which storage backend a [`crate::Database`] sits on. Page I/O is counted
-/// above the backend seam, so figures and tables are byte-identical across
-/// the two modes (checked by `scripts/verify.sh`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub enum Durability {
-    /// Pages live in a process-local map; nothing survives the process.
-    /// The default — benchmarks model I/O, they do not need to perform it.
-    #[default]
-    Memory,
-    /// Pages live in a checksummed page file with a write-ahead log under
-    /// the given directory; commits survive crashes and restarts.
-    File(PathBuf),
-}
-
-impl Durability {
-    /// Resolve from `NSQL_DURABILITY`: unset/`memory` → [`Durability::Memory`];
-    /// `file` → a fresh per-process subdirectory under `NSQL_DATA_DIR` (or
-    /// the system temp dir); `file:<dir>` → exactly `<dir>`.
-    pub fn from_env() -> Durability {
-        match std::env::var("NSQL_DURABILITY") {
-            Ok(v) if v.eq_ignore_ascii_case("file") => {
-                let base = std::env::var_os("NSQL_DATA_DIR")
-                    .map(PathBuf::from)
-                    .unwrap_or_else(std::env::temp_dir);
-                Durability::File(base)
-            }
-            Ok(v) => match v.strip_prefix("file:") {
-                Some(dir) if !dir.is_empty() => Durability::File(PathBuf::from(dir)),
-                _ => Durability::Memory,
-            },
-            Err(_) => Durability::Memory,
         }
     }
 }
@@ -153,15 +148,16 @@ impl ExecMode {
 
     /// Whether this mode (after `Auto` resolution) runs vectorized.
     pub fn vectorized(self) -> bool {
+        self.vectorized_in(&process_env)
+    }
+
+    fn vectorized_in(self, env: Env) -> bool {
         match self {
             ExecMode::Row => false,
             ExecMode::Vector => true,
-            ExecMode::Auto => match std::env::var("NSQL_EXEC_MODE") {
-                Ok(v) => {
-                    v.eq_ignore_ascii_case("vector") || v.eq_ignore_ascii_case("vectorized")
-                }
-                Err(_) => false,
-            },
+            ExecMode::Auto => env("NSQL_EXEC_MODE").is_some_and(|v| {
+                v.eq_ignore_ascii_case("vector") || v.eq_ignore_ascii_case("vectorized")
+            }),
         }
     }
 }
@@ -204,10 +200,14 @@ impl CacheMode {
 
     /// `Auto` resolved against the environment; other modes unchanged.
     pub fn resolve(self) -> CacheMode {
+        self.resolve_in(&process_env)
+    }
+
+    fn resolve_in(self, env: Env) -> CacheMode {
         match self {
-            CacheMode::Auto => match std::env::var("NSQL_CACHE") {
-                Ok(v) if v.eq_ignore_ascii_case("on") || v == "1" => CacheMode::On,
-                Ok(v) if v.eq_ignore_ascii_case("rewrite") => CacheMode::Rewrite,
+            CacheMode::Auto => match env("NSQL_CACHE") {
+                Some(v) if v.eq_ignore_ascii_case("on") || v == "1" => CacheMode::On,
+                Some(v) if v.eq_ignore_ascii_case("rewrite") => CacheMode::Rewrite,
                 _ => CacheMode::Off,
             },
             other => other,
@@ -263,14 +263,18 @@ impl Strategy {
 
     /// `Auto` resolved against the environment; other strategies unchanged.
     pub fn resolve(self) -> Strategy {
+        self.resolve_in(&process_env)
+    }
+
+    fn resolve_in(self, env: Env) -> Strategy {
         match self {
-            Strategy::Auto => match std::env::var("NSQL_STRATEGY") {
-                Ok(v) if v.eq_ignore_ascii_case("nested-iteration")
+            Strategy::Auto => match env("NSQL_STRATEGY") {
+                Some(v) if v.eq_ignore_ascii_case("nested-iteration")
                     || v.eq_ignore_ascii_case("ni") =>
                 {
                     Strategy::NestedIteration
                 }
-                Ok(v) if v.eq_ignore_ascii_case("batched") => Strategy::Batched,
+                Some(v) if v.eq_ignore_ascii_case("batched") => Strategy::Batched,
                 _ => Strategy::Transform,
             },
             other => other,
@@ -296,20 +300,16 @@ pub struct QueryOptions {
     /// Whether restriction predicates and back-joins may route through
     /// B+tree indexes (see [`IndexUse`]). Irrelevant when no index exists.
     pub index_use: IndexUse,
-    /// Storage backend the *harness* should put the database on when it
-    /// builds one for this run (see [`Durability`]). Per-query evaluation
-    /// ignores it — a live database already sits on its backend; the bench
-    /// workload and `Database::new` honor it (the latter via
-    /// `NSQL_DURABILITY`).
-    pub durability: Durability,
     /// Start from a cold buffer and zeroed I/O counters so the reported
-    /// cost is comparable across runs (default true).
+    /// cost is comparable across runs. The derived default is `false`; the
+    /// named constructors below set it.
     pub cold_start: bool,
     /// Keep the temporary tables after the query (for inspection in the
     /// experiment binaries); they are dropped otherwise.
     pub keep_temps: bool,
     /// Worker threads for morsel-parallel execution. `0` (the default)
-    /// resolves from `NSQL_THREADS`, falling back to the machine's available
+    /// resolves from `NSQL_THREADS` (a positive integer; anything else is a
+    /// [`DbError::Config`]), falling back to the machine's available
     /// parallelism; `1` takes the exact serial code path. Parallel runs
     /// report the same per-query I/O totals as serial runs by construction.
     pub threads: usize,
@@ -336,18 +336,63 @@ pub struct QueryOptions {
     pub slow_query_ms: Option<u64>,
 }
 
+/// [`QueryOptions`] after [`QueryOptions::resolve`]: every `Auto` and
+/// env-dependent knob pinned to the value this statement runs with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Resolved {
+    /// Never [`Strategy::Auto`].
+    pub strategy: Strategy,
+    /// Whether the vector kernels run (always `false` under batched).
+    pub vectorized: bool,
+    /// Never [`CacheMode::Auto`].
+    pub cache: CacheMode,
+    /// Worker threads, at least 1.
+    pub threads: usize,
+    /// Slow-query threshold in microseconds; `None` keeps the log off.
+    pub slow_query_us: Option<u64>,
+}
+
 impl QueryOptions {
     /// The effective slow-query threshold in **microseconds** (the unit
     /// statement timings are recorded in), after `NSQL_SLOW_QUERY_MS`
     /// resolution; `None` disables the slow-query log.
     pub fn slow_query_threshold_us(&self) -> Option<u64> {
-        let ms = match self.slow_query_ms {
-            Some(ms) => Some(ms),
-            None => std::env::var("NSQL_SLOW_QUERY_MS")
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok()),
-        };
+        self.slow_query_threshold_us_in(&process_env)
+    }
+
+    fn slow_query_threshold_us_in(&self, env: Env) -> Option<u64> {
+        let ms = self
+            .slow_query_ms
+            .or_else(|| env("NSQL_SLOW_QUERY_MS").and_then(|v| v.trim().parse::<u64>().ok()));
         ms.map(|ms| ms.saturating_mul(1000))
+    }
+
+    /// Resolve every environment-dependent knob once, at statement start.
+    /// Everything downstream — dispatch, EXPLAIN header, statistics sample,
+    /// slow-query log — reads the returned value, never the environment.
+    pub(crate) fn resolve(&self) -> Result<Resolved> {
+        self.resolve_in(&process_env)
+    }
+
+    fn resolve_in(&self, env: Env) -> Result<Resolved> {
+        let strategy = self.strategy.resolve_in(env);
+        let threads = match self.threads {
+            0 => match env("NSQL_THREADS") {
+                Some(v) => v.trim().parse().ok().filter(|&n: &usize| n >= 1).ok_or_else(|| {
+                    DbError::Config(format!("bad NSQL_THREADS: {v:?} (want a positive integer)"))
+                })?,
+                None => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            },
+            n => n,
+        };
+        Ok(Resolved {
+            strategy,
+            // Batched evaluation never runs the vector kernels.
+            vectorized: strategy != Strategy::Batched && self.exec_mode.vectorized_in(env),
+            cache: self.cache.resolve_in(env),
+            threads,
+            slow_query_us: self.slow_query_threshold_us_in(env),
+        })
     }
 
     /// The paper's baseline: nested iteration, cold buffer.
@@ -386,5 +431,108 @@ impl QueryOptions {
             cold_start: true,
             ..QueryOptions::default()
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A fake environment holding exactly `vars`.
+    fn env_of<'a>(vars: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
+        move |key| vars.iter().find(|(k, _)| *k == key).map(|(_, v)| v.to_string())
+    }
+
+    #[test]
+    fn bad_thread_counts_are_typed_errors() {
+        for bad in ["abc", "0", "-2", ""] {
+            let vars = [("NSQL_THREADS", bad)];
+            let err = QueryOptions::default().resolve_in(&env_of(&vars)).unwrap_err();
+            assert!(
+                matches!(&err, DbError::Config(m) if m.contains("NSQL_THREADS")),
+                "{bad:?}: {err:?}"
+            );
+            // A pinned thread count never consults the variable.
+            let pinned = QueryOptions { threads: 2, ..QueryOptions::default() };
+            assert_eq!(pinned.resolve_in(&env_of(&vars)).unwrap().threads, 2);
+        }
+        let r = QueryOptions::default().resolve_in(&env_of(&[("NSQL_THREADS", " 3 ")])).unwrap();
+        assert_eq!(r.threads, 3);
+    }
+
+    #[test]
+    fn auto_knobs_resolve_from_the_given_env_only() {
+        let unset = QueryOptions::default().resolve_in(&env_of(&[("NSQL_THREADS", "1")])).unwrap();
+        assert_eq!(
+            unset,
+            Resolved {
+                strategy: Strategy::Transform,
+                vectorized: false,
+                cache: CacheMode::Off,
+                threads: 1,
+                slow_query_us: None,
+            }
+        );
+        let set = QueryOptions::default()
+            .resolve_in(&env_of(&[
+                ("NSQL_STRATEGY", "NI"),
+                ("NSQL_EXEC_MODE", "vectorized"),
+                ("NSQL_CACHE", "rewrite"),
+                ("NSQL_THREADS", "4"),
+                ("NSQL_SLOW_QUERY_MS", "7"),
+            ]))
+            .unwrap();
+        assert_eq!(
+            set,
+            Resolved {
+                strategy: Strategy::NestedIteration,
+                vectorized: true,
+                cache: CacheMode::Rewrite,
+                threads: 4,
+                slow_query_us: Some(7000),
+            }
+        );
+        // Malformed values of the other knobs keep their documented
+        // fallbacks rather than failing.
+        let junk = QueryOptions::default()
+            .resolve_in(&env_of(&[
+                ("NSQL_STRATEGY", "fastest"),
+                ("NSQL_EXEC_MODE", "simd"),
+                ("NSQL_CACHE", "yes"),
+                ("NSQL_THREADS", "1"),
+                ("NSQL_SLOW_QUERY_MS", "soon"),
+            ]))
+            .unwrap();
+        assert_eq!((junk.strategy, junk.vectorized), (Strategy::Transform, false));
+        assert_eq!((junk.cache, junk.slow_query_us), (CacheMode::Off, None));
+    }
+
+    #[test]
+    fn batched_never_resolves_vectorized() {
+        let opts = QueryOptions { exec_mode: ExecMode::Vector, ..QueryOptions::batched() };
+        let r = opts.resolve_in(&env_of(&[("NSQL_THREADS", "1")])).unwrap();
+        assert_eq!((r.strategy, r.vectorized), (Strategy::Batched, false));
+        // Pinned options ignore the env knobs entirely.
+        let pinned = QueryOptions {
+            strategy: Strategy::NestedIteration,
+            exec_mode: ExecMode::Row,
+            cache: CacheMode::Off,
+            threads: 1,
+            slow_query_ms: Some(5),
+            ..QueryOptions::default()
+        };
+        let r = pinned
+            .resolve_in(&env_of(&[
+                ("NSQL_STRATEGY", "batched"),
+                ("NSQL_EXEC_MODE", "vector"),
+                ("NSQL_CACHE", "on"),
+                ("NSQL_THREADS", "abc"),
+                ("NSQL_SLOW_QUERY_MS", "9"),
+            ]))
+            .unwrap();
+        assert_eq!(
+            (r.strategy, r.vectorized, r.cache, r.threads, r.slow_query_us),
+            (Strategy::NestedIteration, false, CacheMode::Off, 1, Some(5000))
+        );
     }
 }

@@ -19,10 +19,10 @@ use crate::Result;
 use nsql_cache::{judge_rewrite, RewriteJudgement, TempEntry};
 use nsql_core::cost::{index_nested_join_cost, index_restrict_cost, sort_cost};
 use nsql_core::{JoinPred, LogicalJoinKind, LogicalPlan, TransformPlan};
-use nsql_engine::{AggSpec, CExpr, CPred, Exec, JoinKind, Projector, TableProvider};
+use nsql_engine::{AggSpec, CExpr, CPred, Exec, ExecObs, JoinKind, Projector, TableProvider};
 use nsql_index::{BTreeIndex, KeyBound};
 use nsql_storage::sort::SortKey;
-use nsql_storage::HeapFile;
+use nsql_storage::{HeapFile, Storage};
 use nsql_sql::{
     AggArg, AggFunc, ColumnRef, CompareOp, Operand, Predicate, QueryBlock, ScalarExpr, SortDir,
 };
@@ -33,13 +33,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Run `f` under a fresh per-operator metrics entry when the executor has
-/// observability attached; a plain call otherwise.
-///
-/// The wrapper records wall time and the storage-snapshot page-I/O delta;
-/// engine internals (row counts, morsel claims, hash build/probe phases)
-/// record into the same operator through the executor's "current op" slot.
-/// `rows_in`/`rows` only apply when the engine recorded nothing itself, so
-/// nothing is double-counted.
+/// observability attached; a plain call otherwise (see [`observed_op`]).
 fn observed<R, E>(
     exec: &Exec,
     label: &str,
@@ -47,13 +41,32 @@ fn observed<R, E>(
     rows: impl FnOnce(&R) -> u64,
     f: impl FnOnce() -> std::result::Result<R, E>,
 ) -> std::result::Result<R, E> {
-    let Some(obs) = exec.obs().cloned() else { return f() };
+    observed_op(exec.obs(), exec.storage(), label, rows_in, rows, f)
+}
+
+/// Run `f` under a fresh per-operator metrics entry of `obs`, when given;
+/// a plain call otherwise.
+///
+/// The wrapper records wall time and the storage-snapshot page-I/O delta;
+/// engine internals (row counts, morsel claims, hash build/probe phases)
+/// record into the same operator through the sink's "current op" slot.
+/// `rows_in`/`rows` only apply when the engine recorded nothing itself, so
+/// nothing is double-counted.
+pub(crate) fn observed_op<R, E>(
+    obs: Option<&ExecObs>,
+    storage: &Storage,
+    label: &str,
+    rows_in: u64,
+    rows: impl FnOnce(&R) -> u64,
+    f: impl FnOnce() -> std::result::Result<R, E>,
+) -> std::result::Result<R, E> {
+    let Some(obs) = obs else { return f() };
     let op = obs.registry.op(label);
-    let before = exec.storage().io_snapshot();
+    let before = storage.io_snapshot();
     let t0 = Instant::now();
     let out = obs.with_current(Arc::clone(&op), f);
     op.wall_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    let d = exec.storage().io_snapshot().since(&before);
+    let d = storage.io_snapshot().since(&before);
     op.reads.fetch_add(d.reads, Ordering::Relaxed);
     op.writes.fetch_add(d.writes, Ordering::Relaxed);
     op.hits.fetch_add(d.hits, Ordering::Relaxed);

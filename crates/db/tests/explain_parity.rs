@@ -2,10 +2,11 @@
 //!
 //! The plain report predicts; the ANALYZE report executes. For every
 //! executable strategy — nested iteration, the NEST-* transformation, and
-//! batched correlated evaluation — the two reports must agree on the
-//! decision-shaped lines: the strategy header, whether an exec-mode line
-//! is present, and the cache-mode prefix (ANALYZE appends hit/miss counts
-//! to the same line). A drift here means EXPLAIN is describing a plan the
+//! batched correlated evaluation — in either exec mode, the two reports must
+//! print the same decision header, line for line and in the same order: the
+//! strategy line, the exec-mode line, the NEST trace, the `canonical:` form
+//! and the cache line (compared by prefix, since ANALYZE appends hit/miss
+//! counts to it). A drift here means EXPLAIN is describing a plan the
 //! executor does not run.
 //!
 //! The three-way strategy-cost block is also pinned: every nested query —
@@ -14,7 +15,7 @@
 //! regardless of which strategy the options force. Only flat queries
 //! (no subquery, hence no strategy choice) omit the block.
 
-use nsql_db::{CacheMode, Database, QueryOptions, Strategy};
+use nsql_db::{CacheMode, Database, ExecMode, QueryOptions, Strategy};
 
 const SETUP: &str = "CREATE TABLE PARTS (PNUM INT, QOH INT);
      CREATE TABLE SUPPLY (PNUM INT, QUAN INT, SHIPDATE DATE);
@@ -68,55 +69,67 @@ fn strategy_line(lines: &[String]) -> &String {
         .expect("every report logs a strategy line")
 }
 
-/// Plain EXPLAIN and EXPLAIN ANALYZE agree on the strategy header, the
-/// presence of an exec-mode line, and the cache-mode prefix, under every
-/// strategy and with the cache on or off.
+/// Lines only the decision header prints: the strategy, canonical-form and
+/// cache lines. (The exec-mode line is not exclusive: the plan executor
+/// opens its own physical-decision log with it under vectorized transform.)
+fn is_header_marker(line: &str) -> bool {
+    ["strategy:", "canonical:", "cache: mode"]
+        .iter()
+        .any(|p| line.starts_with(p))
+}
+
+/// Plain EXPLAIN and EXPLAIN ANALYZE print the same ordered decision header
+/// under every strategy, in both exec modes, with the cache on or off.
 #[test]
 fn plain_and_analyze_reports_agree_on_decision_lines() {
     let db = mem_db();
     for (name, strategy) in strategies() {
-        for cache in [CacheMode::Off, CacheMode::On] {
-            let o = opts(&strategy, cache);
-            let plain = db.explain_query(Q2, false, &o).unwrap();
-            let analyzed = db.explain_query(Q2, true, &o).unwrap();
+        for exec_mode in [ExecMode::Row, ExecMode::Vector] {
+            for cache in [CacheMode::Off, CacheMode::On] {
+                let o = QueryOptions { exec_mode, ..opts(&strategy, cache) };
+                let case = format!("{name}, {}, cache {}", exec_mode.name(), cache.name());
+                let plain = db.explain_query(Q2, false, &o).unwrap();
+                let analyzed = db.explain_query(Q2, true, &o).unwrap();
 
-            assert_eq!(
-                strategy_line(&plain.strategy),
-                strategy_line(&analyzed.strategy),
-                "[{name}] strategy header drifted between EXPLAIN and ANALYZE"
-            );
-            assert_eq!(
-                plain.chosen, analyzed.chosen,
-                "[{name}] chosen algorithm drifted between EXPLAIN and ANALYZE"
-            );
+                // Plain EXPLAIN prints exactly the header; ANALYZE prints it
+                // first, then the executor's physical-decision log.
+                let header = &plain.strategy;
+                assert!(
+                    analyzed.strategy.len() >= header.len(),
+                    "[{case}] ANALYZE header shorter than plain:\n{header:#?}\n{:#?}",
+                    analyzed.strategy
+                );
+                for (p, a) in header.iter().zip(&analyzed.strategy) {
+                    if p.starts_with("cache: mode") {
+                        assert!(
+                            a.starts_with(p.as_str()),
+                            "[{case}] ANALYZE cache line {a:?} does not extend {p:?}"
+                        );
+                    } else {
+                        assert_eq!(p, a, "[{case}] header line drifted");
+                    }
+                }
+                let tail = &analyzed.strategy[header.len()..];
+                assert!(
+                    !tail.iter().any(|l| is_header_marker(l)),
+                    "[{case}] ANALYZE prints header lines plain EXPLAIN lacks: {tail:#?}"
+                );
+                assert_eq!(
+                    plain.chosen, analyzed.chosen,
+                    "[{case}] chosen algorithm drifted between EXPLAIN and ANALYZE"
+                );
 
-            // Exec-mode line: present for both or for neither. Batched is a
-            // row-at-a-time strategy and must not advertise a vectorized
-            // mode it will never run.
-            let exec = |r: &nsql_db::ExplainReport| {
-                r.strategy.iter().any(|l| l.starts_with("exec mode:"))
-            };
-            assert_eq!(
-                exec(&plain),
-                exec(&analyzed),
-                "[{name}] exec-mode line presence drifted"
-            );
-
-            // Cache line: ANALYZE appends observed hit/miss counts to the
-            // same prefix plain EXPLAIN prints.
-            let cache_line = |r: &nsql_db::ExplainReport| {
-                r.strategy.iter().find(|l| l.starts_with("cache: mode")).cloned()
-            };
-            match (cache_line(&plain), cache_line(&analyzed)) {
-                (None, None) => assert!(
-                    !cache.enabled(),
-                    "[{name}] cache enabled but neither report mentions it"
-                ),
-                (Some(p), Some(a)) => assert!(
-                    a.starts_with(&p),
-                    "[{name}] ANALYZE cache line {a:?} does not extend plain line {p:?}"
-                ),
-                (p, a) => panic!("[{name}] cache line presence drifted: {p:?} vs {a:?}"),
+                // Batched is a row-at-a-time strategy and must not advertise
+                // a vectorized mode it will never run.
+                let vector_line = header.iter().any(|l| l.starts_with("exec mode:"));
+                assert_eq!(
+                    vector_line,
+                    exec_mode == ExecMode::Vector && strategy != Strategy::Batched,
+                    "[{case}] exec-mode line"
+                );
+                let cache_line = header.iter().any(|l| l.starts_with("cache: mode"));
+                assert_eq!(cache_line, cache.enabled(), "[{case}] cache line");
+                assert!(strategy_line(header) == &header[0], "[{case}] strategy line first");
             }
         }
     }

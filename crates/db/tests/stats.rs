@@ -6,7 +6,7 @@
 //! their table, the lifetime cache counters have one source of truth, and
 //! per-column distinct-count statistics survive a durable reopen.
 
-use nsql_db::{CacheMode, Database, IndexUse, QueryOptions, Strategy};
+use nsql_db::{CacheMode, Database, ExecMode, IndexUse, QueryOptions, Strategy};
 use nsql_obs::stats::{LatencyHistogram, StatementSample};
 use nsql_testkit::TempDir;
 use nsql_types::Value;
@@ -295,4 +295,36 @@ fn disabled_registry_keeps_views_queryable() {
         .query("SELECT SCANS FROM NSQL_STAT_TABLES WHERE TABLE_NAME = 'PARTS'")
         .unwrap();
     assert_eq!(rel.len(), 1, "base tables still listed");
+}
+
+/// `nsql_stat_statements.exec_mode` records the mode that ran: batched
+/// evaluation never runs the vector kernels, so a batched statement asked
+/// for `ExecMode::Vector` is recorded as `row`; nested iteration under the
+/// same request is recorded as `vector`.
+#[test]
+fn stat_statements_records_the_exec_mode_that_ran() {
+    let exec_mode_of = |strategy: Strategy| {
+        let db = mem_db();
+        let opts = QueryOptions {
+            strategy,
+            exec_mode: ExecMode::Vector,
+            cold_start: true,
+            threads: 1,
+            ..QueryOptions::default()
+        };
+        db.run_query(&nsql_sql::parse_query(Q2).unwrap(), &opts).unwrap();
+        let fp = nsql_analyzer::query_fingerprint(&nsql_sql::parse_query(Q2).unwrap());
+        let rel = db
+            .query("SELECT QUERY, EXEC_MODE FROM NSQL_STAT_STATEMENTS")
+            .unwrap();
+        let row = rel
+            .tuples()
+            .iter()
+            .find(|t| t.get(0) == &Value::Str(fp.clone()))
+            .unwrap_or_else(|| panic!("no row for {fp} in {rel}"))
+            .clone();
+        row.get(1).clone()
+    };
+    assert_eq!(exec_mode_of(Strategy::Batched), Value::Str("row".into()));
+    assert_eq!(exec_mode_of(Strategy::NestedIteration), Value::Str("vector".into()));
 }

@@ -134,6 +134,25 @@ if grep -rnE '(println|eprintln|print|eprint|dbg)!' \
     exit 1
 fi
 
+echo "==> query-processing library crates read the environment in one place"
+# Query knobs (NSQL_STRATEGY, NSQL_EXEC_MODE, NSQL_CACHE, NSQL_THREADS,
+# NSQL_SLOW_QUERY_MS) and NSQL_DURABILITY resolve in crates/db/src/options.rs,
+# once per statement or database; NSQL_STATS in StatsRegistry::from_env.
+# No other library code may read the environment mid-query. Harness crates
+# (testkit, bench) and binaries are exempt.
+if grep -rnE '\benv::var' \
+    crates/types/src crates/obs/src crates/sql/src crates/storage/src \
+    crates/index/src crates/exec-par/src crates/engine/src crates/vec/src \
+    crates/analyzer/src crates/core/src crates/db/src crates/oracle/src \
+    crates/cache/src \
+    src/lib.rs \
+    --include='*.rs' | grep -vE ':[0-9]+:\s*(//|///|//!)' \
+    | grep -vE '^crates/db/src/options\.rs:' \
+    | grep -vE '^crates/obs/src/stats\.rs:[0-9]+:\s*std::env::var\("NSQL_STATS"\)'; then
+    echo "FAIL: environment read outside the option-resolution module"
+    exit 1
+fi
+
 echo "==> differential oracle check (release, 200 random cases per pipeline)"
 NSQL_DIFF_CASES=200 cargo run --release --offline -q -p nsql-bench --bin diffcheck
 

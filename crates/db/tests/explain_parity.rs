@@ -69,11 +69,10 @@ fn strategy_line(lines: &[String]) -> &String {
         .expect("every report logs a strategy line")
 }
 
-/// Lines only the decision header prints: the strategy, canonical-form and
-/// cache lines. (The exec-mode line is not exclusive: the plan executor
-/// opens its own physical-decision log with it under vectorized transform.)
+/// Lines only the decision header prints: the strategy, exec-mode,
+/// canonical-form and cache lines.
 fn is_header_marker(line: &str) -> bool {
-    ["strategy:", "canonical:", "cache: mode"]
+    ["strategy:", "exec mode:", "canonical:", "cache: mode"]
         .iter()
         .any(|p| line.starts_with(p))
 }
@@ -108,6 +107,14 @@ fn plain_and_analyze_reports_agree_on_decision_lines() {
                     } else {
                         assert_eq!(p, a, "[{case}] header line drifted");
                     }
+                }
+                for p in header {
+                    let copies = analyzed
+                        .strategy
+                        .iter()
+                        .filter(|a| a == &p || (p.starts_with("cache: mode") && a.starts_with(p)))
+                        .count();
+                    assert_eq!(copies, 1, "[{case}] decision line {p:?} printed {copies} times");
                 }
                 let tail = &analyzed.strategy[header.len()..];
                 assert!(

@@ -26,7 +26,7 @@ use crate::aggregate::AggState;
 use crate::error::EngineError;
 use crate::pred::{compare_values, not3};
 use crate::provider::TableProvider;
-use crate::vec_exec::{self, Lane3, Template, VPred};
+use crate::vec_exec::{self, Lane3, Template};
 use crate::Result;
 use nsql_vec::Batch;
 use nsql_analyzer::normalized_block_signature;
@@ -71,14 +71,22 @@ enum BatchPlan {
     Memo(Vec<usize>, FxHashMap<Tuple, Result<Option<bool>>>),
 }
 
-/// Resolved FROM clause of a block: the (requalified) files and the scope
-/// schema they jointly define. Computed once per block per query — a
-/// correlated inner block is *evaluated* per outer tuple, but its name
-/// resolution never changes, so re-deriving schemas each time is pure
-/// allocation churn.
+/// Resolved FROM clause of a block plus what its evaluation derives from
+/// it, computed once per block per query: a correlated inner block is
+/// *evaluated* per outer tuple, but its name resolution, compiled
+/// predicates and memo identity never change, so re-deriving them each
+/// time is pure allocation churn.
 struct BlockInfo {
     files: Vec<HeapFile>,
     schema: Schema,
+    /// The simple conjuncts compiled to a vectorized predicate
+    /// [`Template`]. `None` on the row path, with more than one FROM file,
+    /// or when the predicates decline compilation — e.g. a locally
+    /// ambiguous reference, whose error the row loop raises lazily.
+    template: Option<Template>,
+    /// The block's binding-memo identity; `None` unless the block is fully
+    /// simple and normalizes.
+    sig: Option<BlockSig>,
 }
 
 /// The scope chain during evaluation, innermost first. Holds borrowed
@@ -121,21 +129,19 @@ impl<'e> Env<'e> {
 }
 
 /// State shared between the main evaluator and its worker forks: the
-/// uncorrelated-block cache and the per-query resolution memos. All three
-/// are short-critical-section mutexes — workers only copy handles out.
+/// uncorrelated-block cache and the per-query memos. All are
+/// short-critical-section mutexes — workers only copy handles out.
 struct IterShared {
     cache: Mutex<FxHashMap<usize, Cached>>,
-    /// Per-query memo of each block's resolved FROM clause, keyed by block
-    /// address (valid while the AST is borrowed; cleared after each query).
+    /// Per-query memo of each block's [`BlockInfo`], keyed by block address
+    /// (valid while the AST is borrowed; cleared after each query).
     blocks: Mutex<FxHashMap<usize, Arc<BlockInfo>>>,
     /// Per-query memo of [`is_correlated`](NestedIter::is_correlated),
-    /// which is re-consulted for every outer binding.
+    /// which is re-consulted for every outer binding. Kept apart from
+    /// [`BlockInfo`] and computed lazily: it resolves every block in the
+    /// subtree, and doing that eagerly would change which error surfaces
+    /// first on unvalidated input.
     correlated: Mutex<FxHashMap<usize, bool>>,
-    /// Vectorized-path memo: each block's simple conjuncts compiled to a
-    /// predicate [`Template`], keyed by [`BlockInfo`] address. `None`
-    /// records a block whose predicates decline compilation, so the row
-    /// path is taken without recompiling per outer binding.
-    templates: Mutex<FxHashMap<usize, Option<Arc<Template>>>>,
     /// Page → column-batch cache for the vectorized path. FROM files are
     /// base tables, immutable for the duration of one query (temporaries
     /// never reach the fast path), so content keyed by page id is stable;
@@ -143,16 +149,8 @@ struct IterShared {
     /// skips the row→column conversion — every access still charges
     /// `read_page`, leaving counted I/O untouched.
     batches: Mutex<FxHashMap<PageId, Arc<Batch>>>,
-    /// Per-distinct-binding memo for fully-simple blocks (single FROM
-    /// file, no nested conjuncts), keyed by block plus the outer values
-    /// its template depends on. A hit charges the block's entire
-    /// page-read sequence — exactly what re-evaluation would read — so
-    /// the memo saves CPU, never counted I/O. Errors are never memoized.
+    /// The per-query scope of the binding memo (see [`MemoProbe`]).
     results: Mutex<ResultMemo>,
-    /// Per-query memo of each block's normalized cross-query cache
-    /// signature (`None` records a block that declines normalization),
-    /// keyed by block address like [`IterShared::blocks`].
-    signatures: Mutex<FxHashMap<usize, Option<Arc<BlockSig>>>>,
     /// Cross-query cache consults this query: hits and misses, for the
     /// EXPLAIN line. Shared with worker forks so the parallel path counts
     /// identically.
@@ -160,10 +158,12 @@ struct IterShared {
     xq_misses: AtomicU64,
 }
 
-/// The per-binding result memo with its byte accounting: inserts stop once
+/// The per-query binding memo with its byte accounting: inserts stop once
 /// the approximate resident size reaches the budget (no eviction — entries
 /// die with the query), bounding memory on queries whose outer relation has
-/// very many distinct correlation values.
+/// very many distinct correlation values. Keyed by block address (stable
+/// while the AST is borrowed, like [`IterShared::blocks`]) plus the
+/// free-reference values.
 #[derive(Default)]
 struct ResultMemo {
     map: FxHashMap<(usize, Tuple), Arc<Relation>>,
@@ -174,23 +174,25 @@ struct ResultMemo {
 /// configure one through [`NestedIter::with_memo_budget`].
 const DEFAULT_MEMO_BUDGET: usize = 1 << 20;
 
-/// A block's normalized cross-query cache identity: canonical text, the
-/// free (outer) references whose values form the binding key, and the
-/// single FROM table whose generation stamps the entry.
+/// A block's normalized memo identity: canonical text, the free (outer)
+/// references whose values form the binding key, and the single FROM
+/// table whose generation stamps cross-query entries.
 struct BlockSig {
     text: String,
     free: Vec<ColumnRef>,
     table: String,
 }
 
-/// One consult of the cross-query cache: the identity to probe with and,
-/// on a miss, publish under.
-struct XqProbe {
-    cache: Arc<QueryCache>,
-    sig: Arc<BlockSig>,
+/// One consult of the binding memo: the identity to probe with and, on a
+/// miss, publish under. The scope is the cross-query cache when one is
+/// attached and the provider stamps the block's table (`cross` holds the
+/// cache, that generation and the catalog epoch); otherwise the per-query
+/// [`ResultMemo`].
+struct MemoProbe<'s> {
+    block: usize,
+    sig: &'s BlockSig,
     binding: Tuple,
-    generation: u64,
-    epoch: u64,
+    cross: Option<(&'s QueryCache, u64, u64)>,
 }
 
 /// The nested-iteration evaluator.
@@ -218,10 +220,8 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
                 cache: Mutex::new(FxHashMap::default()),
                 blocks: Mutex::new(FxHashMap::default()),
                 correlated: Mutex::new(FxHashMap::default()),
-                templates: Mutex::new(FxHashMap::default()),
                 batches: Mutex::new(FxHashMap::default()),
                 results: Mutex::new(ResultMemo::default()),
-                signatures: Mutex::new(FxHashMap::default()),
                 xq_hits: AtomicU64::new(0),
                 xq_misses: AtomicU64::new(0),
             }),
@@ -241,28 +241,29 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
     }
 
     /// Enable the vectorized fast path: blocks with a single FROM file
-    /// evaluate their simple conjuncts with batch kernels, and fully-
-    /// simple correlated blocks memoize per distinct outer binding. Page
-    /// reads are charged identically either way, so results *and* counted
-    /// I/O are byte-identical with the row path.
+    /// evaluate their simple conjuncts with batch kernels. Page reads are
+    /// charged identically either way, so results *and* counted I/O are
+    /// byte-identical with the row path.
     pub fn with_vectorized(mut self, vectorized: bool) -> Self {
         self.vectorized = vectorized;
         self
     }
 
-    /// Attach a cross-query result cache. Fully-simple inner blocks
-    /// (single FROM table, subquery-free WHERE) consult it per distinct
-    /// binding before evaluating and publish their results after; a hit
-    /// recharges the block's full-scan read sequence, so counted I/O is
+    /// Attach a cross-query result cache as the binding memo's scope.
+    /// Fully-simple blocks (single FROM table, subquery-free WHERE) whose
+    /// table the provider stamps with a generation consult it per binding
+    /// before evaluating and publish their results after; a hit recharges
+    /// the block's full-scan read sequence, so counted I/O is
     /// byte-identical with an uncached evaluation.
     pub fn with_query_cache(mut self, cache: Arc<QueryCache>) -> Self {
         self.query_cache = Some(cache);
         self
     }
 
-    /// Byte budget for the per-query, per-distinct-binding result memo of
-    /// the vectorized path (default 1 MiB). The memo stops inserting at
-    /// the budget; hits charge I/O identically either way.
+    /// Byte budget for the binding memo's per-query scope (default 1 MiB),
+    /// used for fully-simple blocks the cross-query cache does not cover.
+    /// The memo stops inserting at the budget; hits charge I/O identically
+    /// either way.
     pub fn with_memo_budget(mut self, budget: usize) -> Self {
         self.memo_budget = budget;
         self
@@ -313,9 +314,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         }
         lock(&self.shared.blocks).clear();
         lock(&self.shared.correlated).clear();
-        lock(&self.shared.templates).clear();
         lock(&self.shared.batches).clear();
-        lock(&self.shared.signatures).clear();
         let mut memo = lock(&self.shared.results);
         memo.map.clear();
         memo.bytes = 0;
@@ -396,13 +395,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
             }
         }
 
-        let scope_schema = &info.schema;
-        let conjuncts: Vec<&Predicate> = match &q.where_clause {
-            Some(p) => p.conjuncts(),
-            None => Vec::new(),
-        };
-        let (simple, nested): (Vec<&Predicate>, Vec<&Predicate>) =
-            conjuncts.into_iter().partition(|p| !p.contains_subquery());
+        let (simple, nested) = split_where(q);
 
         // One page per morsel: binding evaluation (the inner loops) is the
         // heavy part, so fine-grained claims balance best, and the trace
@@ -419,8 +412,13 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
                 }
                 let sink = Arc::new(Mutex::new(Vec::new()));
                 let fork = self.fork(self.storage.trace_view(Arc::clone(&sink)));
-                let res =
-                    fork.eval_morsel(&info, &pages[range.clone()], &simple, &nested);
+                let res = fork.candidates(
+                    &info,
+                    &pages[range.clone()],
+                    &simple,
+                    &nested,
+                    &Env::default(),
+                );
                 let events = std::mem::take(&mut *lock(&sink));
                 *lock(&slots[range.start]) = Some((events, res));
             }
@@ -438,57 +436,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
             self.replay(&events, &mat, &mut done);
             survivors.append(&mut res?);
         }
-        self.eval_select(q, scope_schema, survivors, &Env::default())
-    }
-
-    /// One worker morsel: the outer block's bindings restricted to the
-    /// given outer pages, evaluated with this evaluator's (trace-view)
-    /// storage. Mirrors [`eval_block`](NestedIter::eval_block)'s loop body,
-    /// with depth 0 of the enumeration unrolled over the morsel's pages.
-    fn eval_morsel(
-        &self,
-        info: &Arc<BlockInfo>,
-        pids: &[PageId],
-        simple: &[&Predicate],
-        nested: &[&Predicate],
-    ) -> Result<Vec<Tuple>> {
-        let scope_schema = &info.schema;
-        let env = Env::default();
-        if self.vectorized && info.files.len() == 1 {
-            // The morsel covers a page subset, so block-level memoization
-            // does not apply; the template (closed at top level — any
-            // outer ref fails the empty env and declines) and batch
-            // kernels still do.
-            if let Some(tpl) = self.template_for(info, simple) {
-                if tpl.is_closed() {
-                    let vp = tpl.instantiate(&[]);
-                    return self.filter_pages_vec(&vp, info, pids, nested, &env);
-                }
-            }
-        }
-        let mut survivors: Vec<Tuple> = Vec::new();
-        for &pid in pids {
-            let page = self.storage.read_page(pid);
-            for t in page.tuples() {
-                self.enumerate(&info.files, 1, Tuple::default().join(t), &mut |binding| {
-                    let here = env.child(scope_schema, &binding);
-                    for p in simple {
-                        if self.eval_pred(p, &here)? != Some(true) {
-                            return Ok(());
-                        }
-                    }
-                    for p in nested {
-                        if self.eval_pred(p, &here)? != Some(true) {
-                            return Ok(());
-                        }
-                    }
-                    drop(here);
-                    survivors.push(binding);
-                    Ok(())
-                })?;
-            }
-        }
-        Ok(survivors)
+        self.eval_select(q, &info.schema, survivors, &Env::default())
     }
 
     /// Charge a captured trace against the real (counted, buffered)
@@ -562,9 +510,8 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
     /// never consulted are swallowed — as nested iteration never evaluates
     /// them at all). Counted I/O is thread-invariant by construction: the
     /// only parallel step is the external sort, whose counted I/O is
-    /// proven thread-invariant; everything else runs serially. The
-    /// vectorized fast path is deliberately not consulted — batching is a
-    /// row-strategy.
+    /// proven thread-invariant; everything else runs serially. Batching is
+    /// a row strategy: its callers leave the vectorized path off.
     pub fn eval_query_batched(&self, q: &QueryBlock, threads: usize) -> Result<Relation> {
         let result = self.eval_batched(q, threads);
         self.teardown();
@@ -574,12 +521,7 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
     fn eval_batched(&self, q: &QueryBlock, threads: usize) -> Result<Relation> {
         let info = self.block_info(q)?;
         let scope_schema = &info.schema;
-        let conjuncts: Vec<&Predicate> = match &q.where_clause {
-            Some(p) => p.conjuncts(),
-            None => Vec::new(),
-        };
-        let (simple, nested): (Vec<&Predicate>, Vec<&Predicate>) =
-            conjuncts.into_iter().partition(|p| !p.contains_subquery());
+        let (simple, nested) = split_where(q);
         if nested.is_empty() {
             // Nothing to batch — the block is flat; evaluate it directly.
             return self.eval_block(q, &Env::default());
@@ -588,18 +530,8 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
 
         // Phase 1: candidates surviving the simple conjuncts, in
         // enumeration order (the order nested iteration would visit them).
-        let mut candidates: Vec<Tuple> = Vec::new();
-        self.enumerate(&info.files, 0, Tuple::default(), &mut |binding| {
-            let here = env.child(scope_schema, &binding);
-            for p in &simple {
-                if self.eval_pred(p, &here)? != Some(true) {
-                    return Ok(());
-                }
-            }
-            drop(here);
-            candidates.push(binding);
-            Ok(())
-        })?;
+        let candidates =
+            self.candidates(&info, info.files[0].page_ids(), &simple, &[], &env)?;
 
         // Phase 2: one verdict memo per nested conjunct, keyed by the
         // candidate's projection onto the conjunct's free outer columns.
@@ -740,11 +672,14 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
 
     // ------------------------------------------------------------- blocks
 
-    /// Resolve (or recall) a block's FROM files and scope schema.
+    /// Resolve (or recall) a block's [`BlockInfo`].
     fn block_info(&self, q: &QueryBlock) -> Result<Arc<BlockInfo>> {
         let key = q as *const QueryBlock as usize;
         if let Some(info) = lock(&self.shared.blocks).get(&key) {
             return Ok(Arc::clone(info));
+        }
+        if q.from.is_empty() {
+            return Err(EngineError::Unsupported("query with empty FROM".into()));
         }
         let mut files: Vec<HeapFile> = Vec::new();
         let mut scope_schema = Schema::default();
@@ -764,157 +699,121 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
             scope_schema = scope_schema.join(&qualified);
             files.push(file.with_schema(qualified));
         }
-        let info = Arc::new(BlockInfo { files, schema: scope_schema });
-        lock(&self.shared.blocks).insert(key, Arc::clone(&info));
-        Ok(info)
+        let template = if self.vectorized && files.len() == 1 {
+            let simple = split_where(q).0.into_iter().cloned().collect();
+            Template::compile(&scope_schema, &Predicate::And(simple))
+        } else {
+            None
+        };
+        // References are classified against the block's own scope:
+        // resolvable = local, ambiguous = decline, unknown = free.
+        let classify = |c: &ColumnRef| match scope_schema.resolve(c.table.as_deref(), &c.column) {
+            Ok(_) => Some(true),
+            Err(nsql_types::TypeError::AmbiguousColumn(_)) => None,
+            Err(_) => Some(false),
+        };
+        let sig = normalized_block_signature(q, &classify).map(|(text, free)| BlockSig {
+            text,
+            free,
+            table: q.from[0].table.to_ascii_uppercase(),
+        });
+        let info = Arc::new(BlockInfo { files, schema: scope_schema, template, sig });
+        // Workers racing on the same block keep the first record published.
+        Ok(Arc::clone(lock(&self.shared.blocks).entry(key).or_insert(info)))
     }
 
     fn eval_block(&self, q: &QueryBlock, env: &Env<'_>) -> Result<Relation> {
         let info = self.block_info(q)?;
 
-        // Cross-query result cache: fully-simple blocks only. Such a block
-        // reads exactly one full scan of its FROM file regardless of
-        // predicate outcomes, so a hit can recharge the identical read
-        // sequence and return the stored result — counted I/O and the
-        // answer are byte-identical with re-evaluation. The probe is
-        // `None` (and evaluation proceeds untouched) when no cache is
-        // attached, the block doesn't normalize, the provider tracks no
-        // generation for the table, or a free reference fails to resolve.
-        let probe = self.xq_probe(q, &info, env);
-        if let Some(p) = &probe {
-            if let Some(rel) =
-                p.cache.find_block(&p.sig.text, &p.binding, &p.sig.table, p.generation, p.epoch)
-            {
-                self.shared.xq_hits.fetch_add(1, Ordering::Relaxed);
-                for &pid in info.files[0].page_ids() {
-                    let _ = self.storage.read_page(pid);
-                }
-                return Ok(rel.rel.clone());
+        // Binding memo: fully-simple blocks only. Such a block reads
+        // exactly one full scan of its FROM file regardless of predicate
+        // outcomes, so a hit can recharge the identical read sequence and
+        // return the stored result — counted I/O and the answer are
+        // byte-identical with re-evaluation. There is no probe (and
+        // evaluation proceeds untouched) when the block doesn't normalize
+        // or a free reference fails to resolve.
+        let probe = self.memo_probe(q, &info, env);
+        if let Some(rel) = probe.as_ref().and_then(|p| self.memo_find(p)) {
+            for &pid in info.files[0].page_ids() {
+                let _ = self.storage.read_page(pid);
             }
-            self.shared.xq_misses.fetch_add(1, Ordering::Relaxed);
+            return Ok(rel);
         }
 
-        // Partition top-level conjuncts: simple predicates first.
-        let conjuncts: Vec<&Predicate> = match &q.where_clause {
-            Some(p) => p.conjuncts(),
-            None => Vec::new(),
-        };
-        let (simple, nested): (Vec<&Predicate>, Vec<&Predicate>) = conjuncts
-            .into_iter()
-            .partition(|p| !p.contains_subquery());
-
-        let rel = 'eval: {
-            if self.vectorized {
-                if let Some(rel) = self.try_eval_block_vec(q, env, &info, &simple, &nested)? {
-                    break 'eval rel;
-                }
-            }
-            self.eval_block_rows(q, env, &info, &simple, &nested)?
-        };
+        let (simple, nested) = split_where(q);
+        let survivors = self.candidates(&info, info.files[0].page_ids(), &simple, &nested, env)?;
+        let rel = self.eval_select(q, &info.schema, survivors, env)?;
 
         // Publish only successful evaluations, so an entry can never mask
-        // an error a re-evaluation would raise.
+        // an error a re-evaluation would raise. A fully-simple block's
+        // SELECT items resolve locally (output_schema errors otherwise),
+        // so the key captures everything the result depends on.
         if let Some(p) = probe {
-            p.cache.publish_block(BlockEntry {
-                signature: p.sig.text.clone(),
-                binding: p.binding,
-                table: p.sig.table.clone(),
-                generation: p.generation,
-                epoch: p.epoch,
-                rel: rel.clone(),
-            });
+            self.memo_publish(p, &rel);
         }
         Ok(rel)
     }
 
-    /// The row-at-a-time block body: nested-iteration enumeration of the
-    /// FROM product, then the SELECT phase.
-    fn eval_block_rows(
-        &self,
+    /// Bind the block's memo identity against the current environment and
+    /// pick its scope. `None` — no memo for this call — when the block has
+    /// no signature, a free reference fails to resolve, or the per-query
+    /// scope would hold a closed block: that one runs once per query
+    /// anyway (the top level, or an uncorrelated inner cached on first use).
+    fn memo_probe<'s>(
+        &'s self,
         q: &QueryBlock,
+        info: &'s BlockInfo,
         env: &Env<'_>,
-        info: &Arc<BlockInfo>,
-        simple: &[&Predicate],
-        nested: &[&Predicate],
-    ) -> Result<Relation> {
-        let scope_schema = &info.schema;
-        let mut survivors: Vec<Tuple> = Vec::new();
-        self.enumerate(&info.files, 0, Tuple::default(), &mut |binding| {
-            let here = env.child(scope_schema, &binding);
-            for p in simple {
-                if self.eval_pred(p, &here)? != Some(true) {
-                    return Ok(());
-                }
-            }
-            for p in nested {
-                if self.eval_pred(p, &here)? != Some(true) {
-                    return Ok(());
-                }
-            }
-            drop(here);
-            survivors.push(binding);
-            Ok(())
-        })?;
-        self.eval_select(q, scope_schema, survivors, env)
-    }
-
-    /// Recall (or derive) the block's normalized signature, then bind its
-    /// free references against the current environment. Any failure —
-    /// no attached cache, non-simple block, generation-less provider,
-    /// unresolvable free reference — declines caching for this call.
-    fn xq_probe(&self, q: &QueryBlock, info: &Arc<BlockInfo>, env: &Env<'_>) -> Option<XqProbe> {
-        let cache = self.query_cache.as_ref()?;
-        let sig = self.block_signature(q, info)?;
-        let generation = self.tables.table_generation(&sig.table)?;
+    ) -> Option<MemoProbe<'s>> {
+        let sig = info.sig.as_ref()?;
         let mut vals = Vec::with_capacity(sig.free.len());
         for c in &sig.free {
             vals.push(env.lookup(c).ok()?);
         }
-        Some(XqProbe {
-            cache: Arc::clone(cache),
-            sig,
-            binding: Tuple::new(vals),
-            generation,
-            epoch: self.tables.cache_epoch(),
-        })
-    }
-
-    /// Per-query memo of [`normalized_block_signature`] over this block,
-    /// classifying references against the block's own scope schema
-    /// (resolvable = local, ambiguous = bail, unknown = free).
-    fn block_signature(&self, q: &QueryBlock, info: &Arc<BlockInfo>) -> Option<Arc<BlockSig>> {
-        let key = q as *const QueryBlock as usize;
-        if let Some(s) = lock(&self.shared.signatures).get(&key) {
-            return s.clone();
-        }
-        let schema = &info.schema;
-        let classify = |c: &ColumnRef| match schema.resolve(c.table.as_deref(), &c.column) {
-            Ok(_) => Some(true),
-            Err(nsql_types::TypeError::AmbiguousColumn(_)) => None,
-            Err(_) => Some(false),
-        };
-        let sig = normalized_block_signature(q, &classify).map(|(text, free)| {
-            Arc::new(BlockSig { text, free, table: q.from[0].table.to_ascii_uppercase() })
+        let cross = self.query_cache.as_deref().and_then(|cache| {
+            let generation = self.tables.table_generation(&sig.table)?;
+            Some((cache, generation, self.tables.cache_epoch()))
         });
-        lock(&self.shared.signatures).insert(key, sig.clone());
-        sig
+        if cross.is_none() && vals.is_empty() {
+            return None;
+        }
+        let block = q as *const QueryBlock as usize;
+        Some(MemoProbe { block, sig, binding: Tuple::new(vals), cross })
     }
 
-    // --------------------------------------------------- vectorized path
+    /// The memoized result for a probe, if its scope holds one. Cross-query
+    /// consults are counted for the EXPLAIN cache line.
+    fn memo_find(&self, p: &MemoProbe<'_>) -> Option<Relation> {
+        let Some((cache, generation, epoch)) = p.cross else {
+            let key = (p.block, p.binding.clone());
+            return lock(&self.shared.results).map.get(&key).map(|rel| (**rel).clone());
+        };
+        let hit = cache.find_block(&p.sig.text, &p.binding, &p.sig.table, generation, epoch);
+        let counter = if hit.is_some() { &self.shared.xq_hits } else { &self.shared.xq_misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit.map(|e| e.rel.clone())
+    }
 
-    /// Recall (or compile) the block's simple conjuncts as a predicate
-    /// [`Template`], keyed by the block's memoized [`BlockInfo`] address.
-    /// `None` means the predicates declined compilation — e.g. a locally
-    /// ambiguous reference, whose error the row path raises lazily.
-    fn template_for(&self, info: &Arc<BlockInfo>, simple: &[&Predicate]) -> Option<Arc<Template>> {
-        let key = Arc::as_ptr(info) as usize;
-        if let Some(t) = lock(&self.shared.templates).get(&key) {
-            return t.clone();
-        }
-        let conj = Predicate::And(simple.iter().map(|p| (*p).clone()).collect());
-        let t = Template::compile(&info.schema, &conj).map(Arc::new);
-        lock(&self.shared.templates).insert(key, t.clone());
-        t
+    /// Store a successful evaluation under its probe's identity and scope.
+    fn memo_publish(&self, p: MemoProbe<'_>, rel: &Relation) {
+        let Some((cache, generation, epoch)) = p.cross else {
+            let key = (p.block, p.binding);
+            let size = approx_relation_bytes(rel);
+            let mut memo = lock(&self.shared.results);
+            if memo.bytes + size <= self.memo_budget {
+                memo.map.insert(key, Arc::new(rel.clone()));
+                memo.bytes += size;
+            }
+            return;
+        };
+        cache.publish_block(BlockEntry {
+            signature: p.sig.text.clone(),
+            binding: p.binding,
+            table: p.sig.table.clone(),
+            generation,
+            epoch,
+            rel: rel.clone(),
+        });
     }
 
     /// Row→column conversion for `page`, cached per page id (see
@@ -928,112 +827,96 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
         b
     }
 
-    /// Vectorized evaluation of a block whose FROM clause is a single
-    /// file. Returns `Ok(None)` to decline — more than one FROM file, the
-    /// simple conjuncts don't compile, or an outer reference fails to
-    /// resolve eagerly (the row path may hide such an error behind
-    /// short-circuiting, so declining keeps error behaviour canonical).
-    fn try_eval_block_vec(
+    /// The candidate loop: the bindings of the block's FROM product whose
+    /// first-file tuple lies on `pids` (a slice of the first FROM file's
+    /// pages), kept when they pass the simple and then the nested
+    /// conjuncts, each test stopping at the first non-true verdict.
+    ///
+    /// Page *i+1* is read only after page *i*'s bindings are finished —
+    /// the order a scan of the first file reads them — so a slice of every
+    /// page charges exactly what nested iteration over the whole product
+    /// charges, and the parallel path's per-morsel traces concatenate to
+    /// that sequence.
+    ///
+    /// When the block has a template and its outer references resolve in
+    /// `env`, the simple conjuncts run as batch kernels over each page and
+    /// the lanes are walked *in row order*: an error lane stops exactly
+    /// where the row loop would (after earlier bindings' nested-conjunct
+    /// I/O, before later pages). An outer reference that fails to resolve
+    /// eagerly takes the row loop, which may hide that error behind
+    /// short-circuiting.
+    fn candidates(
         &self,
-        q: &QueryBlock,
-        env: &Env<'_>,
-        info: &Arc<BlockInfo>,
-        simple: &[&Predicate],
-        nested: &[&Predicate],
-    ) -> Result<Option<Relation>> {
-        if info.files.len() != 1 {
-            return Ok(None);
-        }
-        let Some(tpl) = self.template_for(info, simple) else {
-            return Ok(None);
-        };
-        let mut outer_vals = Vec::with_capacity(tpl.outer_refs.len());
-        for c in &tpl.outer_refs {
-            match env.lookup(c) {
-                Ok(v) => outer_vals.push(v),
-                Err(_) => return Ok(None),
-            }
-        }
-
-        // Fully-simple blocks depend only on (file contents, outer
-        // values): SELECT items must resolve locally (output_schema
-        // errors otherwise, and errors are never memoized), so the memo
-        // key below captures everything the result can depend on.
-        let memo_key = nested
-            .is_empty()
-            .then(|| (Arc::as_ptr(info) as usize, Tuple::new(outer_vals.clone())));
-        if let Some(key) = &memo_key {
-            if let Some(rel) = lock(&self.shared.results).map.get(key).cloned() {
-                // Charge the same page reads a re-evaluation would issue.
-                for &pid in info.files[0].page_ids() {
-                    let _ = self.storage.read_page(pid);
-                }
-                return Ok(Some((*rel).clone()));
-            }
-        }
-
-        let vp = tpl.instantiate(&outer_vals);
-        let survivors =
-            self.filter_pages_vec(&vp, info, info.files[0].page_ids(), nested, env)?;
-        let rel = self.eval_select(q, &info.schema, survivors, env)?;
-        if let Some(key) = memo_key {
-            let size = approx_relation_bytes(&rel);
-            let mut memo = lock(&self.shared.results);
-            if memo.bytes + size <= self.memo_budget {
-                memo.map.insert(key, Arc::new(rel.clone()));
-                memo.bytes += size;
-            }
-        }
-        Ok(Some(rel))
-    }
-
-    /// The vectorized binding loop: batch each page, evaluate the compiled
-    /// simple conjuncts over all lanes at once, then walk the lanes *in
-    /// row order* — an error lane stops exactly where the row path would
-    /// (after earlier bindings' nested-conjunct I/O, before later pages),
-    /// and each surviving lane runs the nested conjuncts row-wise.
-    fn filter_pages_vec(
-        &self,
-        vp: &VPred,
         info: &BlockInfo,
         pids: &[PageId],
+        simple: &[&Predicate],
         nested: &[&Predicate],
         env: &Env<'_>,
     ) -> Result<Vec<Tuple>> {
-        let scope_schema = &info.schema;
-        let op = self.obs.as_ref().and_then(|o| o.current());
+        let vp = info.template.as_ref().and_then(|tpl| {
+            let vals: Option<Vec<Value>> =
+                tpl.outer_refs.iter().map(|c| env.lookup(c).ok()).collect();
+            Some(tpl.instantiate(&vals?))
+        });
+        let op = vp.as_ref().and(self.obs.as_ref()).and_then(|o| o.current());
         if let Some(op) = &op {
-            op.vectorized.store(1, std::sync::atomic::Ordering::Relaxed);
+            op.vectorized.store(1, Ordering::Relaxed);
         }
+        let conjuncts: Vec<&Predicate> = simple.iter().chain(nested).copied().collect();
         let mut survivors: Vec<Tuple> = Vec::new();
         for &pid in pids {
             let page = self.storage.read_page(pid);
+            let Some(vp) = &vp else {
+                for t in page.tuples() {
+                    self.enumerate(&info.files, 1, Tuple::default().join(t), &mut |binding| {
+                        if self.passes(&conjuncts, &info.schema, &binding, env)? {
+                            survivors.push(binding);
+                        }
+                        Ok(())
+                    })?;
+                }
+                continue;
+            };
             let batch = self.batch_for(pid, &page);
             if let Some(op) = &op {
                 op.batches.add(0, 1);
             }
             let sel: Vec<u32> = (0..batch.len() as u32).collect();
-            let lanes = vec_exec::eval_pred(vp, &batch, &sel);
-            'lanes: for (pos, lane) in lanes.into_iter().enumerate() {
+            for (lane, t) in vec_exec::eval_pred(vp, &batch, &sel).into_iter().zip(page.tuples()) {
                 match lane {
                     Lane3::Err(e) => return Err(e),
                     Lane3::T => {
-                        let binding = Tuple::default().join(&page.tuples()[pos]);
-                        if !nested.is_empty() {
-                            let here = env.child(scope_schema, &binding);
-                            for p in nested {
-                                if self.eval_pred(p, &here)? != Some(true) {
-                                    continue 'lanes;
-                                }
-                            }
+                        let binding = Tuple::default().join(t);
+                        if self.passes(nested, &info.schema, &binding, env)? {
+                            survivors.push(binding);
                         }
-                        survivors.push(binding);
                     }
                     Lane3::F | Lane3::U => {}
                 }
             }
         }
         Ok(survivors)
+    }
+
+    /// Whether `binding` (over `schema`, inside `env`) satisfies every
+    /// conjunct, evaluated in order up to the first non-true verdict.
+    fn passes(
+        &self,
+        conjuncts: &[&Predicate],
+        schema: &Schema,
+        binding: &Tuple,
+        env: &Env<'_>,
+    ) -> Result<bool> {
+        if conjuncts.is_empty() {
+            return Ok(true);
+        }
+        let here = env.child(schema, binding);
+        for p in conjuncts {
+            if self.eval_pred(p, &here)? != Some(true) {
+                return Ok(false);
+            }
+        }
+        Ok(true)
     }
 
     /// Depth-first enumeration of the FROM product: rescans inner files per
@@ -1504,6 +1387,13 @@ impl<'a, T: TableProvider + ?Sized> NestedIter<'a, T> {
     }
 }
 
+/// A block's top-level WHERE conjuncts split into simple (subquery-free)
+/// and nested ones, each in source order: System R applies the simple
+/// predicates first.
+fn split_where(q: &QueryBlock) -> (Vec<&Predicate>, Vec<&Predicate>) {
+    q.where_clause.iter().flat_map(|p| p.conjuncts()).partition(|p| !p.contains_subquery())
+}
+
 /// Direct subquery children of a block's WHERE clause.
 pub fn subquery_children(q: &QueryBlock) -> Vec<&QueryBlock> {
     let mut out = Vec::new();
@@ -1598,4 +1488,69 @@ fn resolve_output_column(
         }
     }
     Err(EngineError::Type(nsql_types::TypeError::UnknownColumn(c.to_string())))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::provider::MemoryProvider;
+    use nsql_sql::parse_query;
+    use nsql_types::ColumnType;
+
+    /// Distinct correlation values in `O.K`; each occurs eight times.
+    const KEYS: usize = 10;
+
+    /// A multi-page outer table `O` whose correlation column repeats, and
+    /// an inner table `I` with matches for every key.
+    fn setup() -> (Storage, MemoryProvider) {
+        let storage = Storage::new(6, 256);
+        let mut provider = MemoryProvider::new();
+        let int_table = |name: &str, cols: &[&str], rows: Vec<Tuple>| {
+            let cols: Vec<(&str, ColumnType)> =
+                cols.iter().map(|c| (*c, ColumnType::Int)).collect();
+            Relation::new(Schema::of_table(name, &cols), rows).unwrap()
+        };
+        let outer = int_table(
+            "O",
+            &["K", "V"],
+            (0..8 * KEYS as i64)
+                .map(|i| Tuple::new(vec![Value::Int(i % KEYS as i64), Value::Int(i % 7)]))
+                .collect(),
+        );
+        let inner = int_table(
+            "I",
+            &["K", "W"],
+            (0..60).map(|i| Tuple::new(vec![Value::Int(i % 12), Value::Int(i % 9)])).collect(),
+        );
+        provider.register("O", storage.store_relation(&outer));
+        provider.register("I", storage.store_relation(&inner));
+        (storage, provider)
+    }
+
+    /// The per-query scope holds one entry per block and distinct binding:
+    /// duplicate bindings are served from it, and two sibling blocks
+    /// correlated on the same outer column never share entries. Checked
+    /// before teardown, in row and vector mode, serial and parallel.
+    #[test]
+    fn per_query_memo_serves_duplicate_bindings() {
+        let sql = "SELECT K FROM O WHERE V IN (SELECT W FROM I WHERE I.K = O.K) \
+                   AND V > (SELECT COUNT(W) FROM I WHERE I.K = O.K AND W > 4)";
+        let q = parse_query(sql).unwrap();
+        let (storage, provider) = setup();
+        assert!(provider.get_table("O").unwrap().page_ids().len() > 1);
+        for vectorized in [false, true] {
+            for threads in [1, 4] {
+                let ni = NestedIter::new(&provider, storage.clone()).with_vectorized(vectorized);
+                let res = if threads == 1 {
+                    ni.eval_block(&q, &Env::default())
+                } else {
+                    ni.eval_parallel(&q, threads)
+                };
+                res.unwrap();
+                let entries = lock(&ni.shared.results).map.len();
+                assert_eq!(entries, 2 * KEYS, "vec={vectorized} threads={threads}");
+                ni.teardown();
+            }
+        }
+    }
 }

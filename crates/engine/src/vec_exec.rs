@@ -206,11 +206,6 @@ impl Template {
         debug_assert_eq!(outer_vals.len(), self.outer_refs.len());
         instantiate_tpred(&self.pred, outer_vals)
     }
-
-    /// Whether the template has no outer references (uncorrelated).
-    pub fn is_closed(&self) -> bool {
-        self.outer_refs.is_empty()
-    }
 }
 
 fn compile_operand(
@@ -720,7 +715,6 @@ mod tests {
         .unwrap();
         let t = Template::compile(&s, q.where_clause.as_ref().unwrap()).unwrap();
         assert_eq!(t.outer_refs, vec![ColumnRef::qualified("PARTS", "PNUM")]);
-        assert!(!t.is_closed());
         // Instantiating binds the outer ref as a constant.
         let v = t.instantiate(&[Value::Int(7)]);
         let tuples = vec![

@@ -1,16 +1,18 @@
 //! Vectorized-vs-row equivalence for nested iteration.
 //!
-//! The vectorized fast path (batch predicate kernels plus per-binding
-//! memoization of fully-simple correlated blocks) must be invisible to
+//! The vectorized fast path (batch predicate kernels) and the binding memo
+//! of fully-simple blocks, in either of its scopes, must be invisible to
 //! everything we measure: result relations, error values, I/O totals,
 //! and buffer hit/miss splits, serial and morsel-parallel alike.
 
+use nsql_cache::QueryCache;
 use nsql_engine::fixtures::{suppliers_parts, Fixture};
-use nsql_engine::provider::MemoryProvider;
+use nsql_engine::provider::{MemoryProvider, TableProvider};
 use nsql_engine::NestedIter;
 use nsql_sql::parse_query;
-use nsql_storage::{IoStats, Storage};
+use nsql_storage::{HeapFile, IoStats, Storage};
 use nsql_types::{ColumnType, Relation, Schema, Tuple, Value};
+use std::sync::Arc;
 
 /// Multi-page PARTS/SUPPLY with NULLs in both the membership column and
 /// the correlation column, plus duplicate outer correlation values (the
@@ -61,14 +63,62 @@ fn setup() -> (Storage, MemoryProvider) {
 
 type RunOutcome = (Result<Relation, String>, IoStats, (u64, u64));
 
+/// Which scope of the binding memo a run uses.
+#[derive(Debug, Clone, Copy)]
+enum Memo {
+    /// Per-query scope with a zero budget: nothing is ever memoized.
+    Off,
+    /// Per-query scope with the default budget.
+    Query,
+    /// Cross-query scope: an attached cache over a provider that stamps
+    /// table generations.
+    Cross,
+}
+
+/// A provider that stamps every table with generation 0, so an attached
+/// cross-query cache covers its blocks.
+struct Stamped<'a>(&'a MemoryProvider);
+
+impl TableProvider for Stamped<'_> {
+    fn get_table(&self, table: &str) -> Option<HeapFile> {
+        self.0.get_table(table)
+    }
+
+    fn table_generation(&self, _table: &str) -> Option<u64> {
+        Some(0)
+    }
+}
+
 fn run(sql: &str, vectorized: bool, threads: usize) -> RunOutcome {
+    run_memo(sql, vectorized, threads, Memo::Query).0
+}
+
+/// One run under the given memo scope, plus the cross-query cache's
+/// `(hits, misses)` (zero unless the scope is [`Memo::Cross`]).
+fn run_memo(sql: &str, vectorized: bool, threads: usize, memo: Memo) -> (RunOutcome, (u64, u64)) {
     let (storage, provider) = setup();
     storage.clear_buffer();
     storage.reset_stats();
     let q = parse_query(sql).unwrap();
-    let ni = NestedIter::new(&provider, storage.clone()).with_vectorized(vectorized);
-    let res = ni.eval_query_threads(&q, threads).map_err(|e| format!("{e:?}"));
-    (res, storage.io_stats(), storage.buffer_stats())
+    let (res, counts) = match memo {
+        Memo::Off | Memo::Query => {
+            let mut ni = NestedIter::new(&provider, storage.clone()).with_vectorized(vectorized);
+            if let Memo::Off = memo {
+                ni = ni.with_memo_budget(0);
+            }
+            (ni.eval_query_threads(&q, threads), ni.cache_counts())
+        }
+        Memo::Cross => {
+            let cache = Arc::new(QueryCache::new(1 << 20));
+            let stamped = Stamped(&provider);
+            let ni = NestedIter::new(&stamped, storage.clone())
+                .with_vectorized(vectorized)
+                .with_query_cache(Arc::clone(&cache));
+            (ni.eval_query_threads(&q, threads), ni.cache_counts())
+        }
+    };
+    let outcome = (res.map_err(|e| format!("{e:?}")), storage.io_stats(), storage.buffer_stats());
+    (outcome, counts)
 }
 
 fn run_fixture(make: fn() -> Fixture, sql: &str, vectorized: bool, threads: usize) -> RunOutcome {
@@ -108,6 +158,11 @@ const QUERIES: &[&str] = &[
     // Type-J with a simple outer conjunct — the headline fast path.
     "SELECT PNUM FROM PARTS WHERE GRP = 0 AND QOH IN \
      (SELECT QUAN FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM)",
+    // Two sibling correlated blocks on the same outer column: their
+    // memo entries must stay apart, also when morsel workers race.
+    "SELECT PNUM FROM PARTS WHERE QOH IN \
+     (SELECT QUAN FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM) AND GRP < \
+     (SELECT COUNT(QUAN) FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM AND QUAN > 4)",
     // Type-JA correlated aggregate.
     "SELECT PNUM FROM PARTS WHERE QOH = \
      (SELECT MAX(QUAN) FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM)",
@@ -131,6 +186,32 @@ const QUERIES: &[&str] = &[
 fn vectorized_nested_iteration_matches_row_path() {
     for sql in QUERIES {
         assert_modes_agree(sql, |v, t| run(sql, v, t));
+    }
+}
+
+/// Memo off against each scope. That the per-query scope is actually
+/// consulted is checked inside the engine, where its entries are visible
+/// (`nested_iter::tests::per_query_memo_serves_duplicate_bindings`).
+#[test]
+fn binding_memo_is_invisible() {
+    for sql in QUERIES {
+        for vectorized in [false, true] {
+            for threads in [1, 4] {
+                let (base, _) = run_memo(sql, vectorized, threads, Memo::Off);
+                for memo in [Memo::Query, Memo::Cross] {
+                    let (other, (hits, _)) = run_memo(sql, vectorized, threads, memo);
+                    let case = format!("{sql} vec={vectorized} threads={threads} memo={memo:?}");
+                    // The headline type-J query repeats every binding, so
+                    // the cross-query scope must actually serve hits.
+                    if let (Memo::Cross, true) = (memo, *sql == QUERIES[0]) {
+                        assert!(hits > 0, "{case}: the cross-query scope never hit");
+                    }
+                    assert_eq!(base.0, other.0, "{case}: results diverged");
+                    assert_eq!(base.1, other.1, "{case}: I/O diverged");
+                    assert_eq!(base.2, other.2, "{case}: buffer hit/miss diverged");
+                }
+            }
+        }
     }
 }
 

@@ -31,7 +31,7 @@ pub use ast::{
     QueryBlock, ScalarExpr, SelectItem, SortDir, Statement, TableRef,
 };
 pub use error::ParseError;
-pub use parser::{parse_query, parse_statement, parse_statements};
+pub use parser::{parse_query, parse_statement, parse_statements, MAX_NESTING_DEPTH};
 pub use printer::{print_predicate, print_query, print_query_masked};
 
 /// Result alias for parsing.

@@ -43,14 +43,38 @@ pub fn parse_statements(src: &str) -> Result<Vec<Statement>, ParseError> {
     Ok(out)
 }
 
+/// Deepest nesting the parser accepts, counting every query block, `NOT`
+/// and parenthesized predicate on the path from the statement down. Each
+/// later stage recurses over the AST, so the bound keeps deep input from
+/// overflowing the stack: a 2 MiB thread evaluates a chain this deep of
+/// correlated subqueries in a debug build.
+pub const MAX_NESTING_DEPTH: usize = 64;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Current nesting depth (see [`MAX_NESTING_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
     fn new(src: &str) -> Result<Parser, ParseError> {
-        Ok(Parser { tokens: lex(src)?, pos: 0 })
+        Ok(Parser { tokens: lex(src)?, pos: 0, depth: 0 })
+    }
+
+    /// Run `parse` one nesting level deeper, refusing input that nests
+    /// past [`MAX_NESTING_DEPTH`].
+    fn nested<R>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<R, ParseError>,
+    ) -> Result<R, ParseError> {
+        if self.depth == MAX_NESTING_DEPTH {
+            return Err(self.err(format!("nesting depth exceeds the limit of {MAX_NESTING_DEPTH}")));
+        }
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
     }
 
     fn peek(&self) -> &T {
@@ -213,6 +237,10 @@ impl Parser {
 
     /// Parse the remainder of a query after `SELECT` has been consumed.
     fn parse_query_body(&mut self) -> Result<QueryBlock, ParseError> {
+        self.nested(Self::parse_block_clauses)
+    }
+
+    fn parse_block_clauses(&mut self) -> Result<QueryBlock, ParseError> {
         let distinct = self.eat_keyword(K::Distinct);
         let mut select = Vec::new();
         loop {
@@ -415,7 +443,7 @@ impl Parser {
         // predicate; bare NOT before anything else is general negation.
         if *self.peek() == T::Keyword(K::Not) && *self.peek_at(1) != T::Keyword(K::Exists) {
             self.advance();
-            return Ok(Predicate::Not(Box::new(self.parse_not()?)));
+            return Ok(Predicate::Not(Box::new(self.nested(Self::parse_not)?)));
         }
         self.parse_atom()
     }
@@ -434,7 +462,7 @@ impl Parser {
         // operand, not a grouping.
         if *self.peek() == T::LParen && *self.peek_at(1) != T::Keyword(K::Select) {
             self.advance();
-            let p = self.parse_or()?;
+            let p = self.nested(Self::parse_or)?;
             self.expect(&T::RParen)?;
             return Ok(p);
         }
@@ -765,6 +793,40 @@ mod tests {
             cur = inner;
         }
         assert_eq!(depth, 3);
+    }
+
+    /// The three recursive shapes at nesting depth `depth`: a chain of
+    /// `IN` subqueries (one block per level), and a WHERE clause of `NOT`s
+    /// or of parentheses under the top-level block.
+    fn nested_shapes(depth: usize) -> [String; 3] {
+        let chain = format!(
+            "{}SELECT A FROM T{}",
+            "SELECT A FROM T WHERE A IN (".repeat(depth - 1),
+            ")".repeat(depth - 1)
+        );
+        let nots = format!("SELECT A FROM T WHERE {}A = 1", "NOT ".repeat(depth - 1));
+        let parens = format!(
+            "SELECT A FROM T WHERE {}A = 1{}",
+            "(".repeat(depth - 1),
+            ")".repeat(depth - 1)
+        );
+        [chain, nots, parens]
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        for sql in nested_shapes(MAX_NESTING_DEPTH) {
+            parse_query(&sql).unwrap_or_else(|e| panic!("{e} at the limit: {sql}"));
+        }
+        for sql in nested_shapes(MAX_NESTING_DEPTH + 1) {
+            let e = parse_query(&sql).unwrap_err();
+            assert!(e.message.contains(&MAX_NESTING_DEPTH.to_string()), "{e}");
+        }
+        // Far past the limit the parser still returns an error instead of
+        // overflowing its stack.
+        for sql in nested_shapes(100_000) {
+            assert!(parse_statement(&sql).is_err());
+        }
     }
 
     #[test]

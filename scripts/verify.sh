@@ -168,6 +168,11 @@ NSQL_TEST_SEED=0x57a75b10 NSQL_TEST_CASES=40 cargo test -q --offline --test stat
 echo "==> cargo bench --no-run (bench targets compile offline)"
 cargo bench -p nsql-bench --no-run --offline
 
+echo "==> perfbench builds and its tests pass (separate workspace)"
+# perfbench is its own workspace, so nothing above builds it; this keeps a
+# change to the engine API it calls from breaking the benchmark silently.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> testkit is warnings-clean across all targets"
 RUSTFLAGS="-D warnings" cargo check -p nsql-testkit --all-targets --offline
 

@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 
 //! Experiment harness: workload generators and measurement helpers shared
-//! by the per-figure binaries and the Criterion benches.
+//! by the per-figure binaries and the ablation matrix ([`matrix`]).
 //!
 //! Workloads are scaled to Kim's configurations: the inner relation is
 //! ~100 pages, the outer a few dozen, the buffer 6 pages, and the outer
@@ -9,6 +9,7 @@
 //! Kim reports 10 220 / 10 120 / 3 050 page I/Os for nested iteration
 //! (Figure 1).
 
+pub mod matrix;
 pub mod workload;
 
 pub use workload::{ja_workload, n_workload, Workload, WorkloadSpec};

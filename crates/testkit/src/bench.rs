@@ -1,17 +1,17 @@
 //! A tiny `harness = false` micro-benchmark timer.
 //!
-//! API shape intentionally mirrors the slice of Criterion the workspace
-//! used — `group` / `sample_size` / `bench_function` / `iter` — so bench
-//! files read the same, with none of the registry dependencies.
+//! API shape mirrors the slice of Criterion the workspace once used —
+//! `group` / `bench_function` / `iter` — with none of the registry
+//! dependencies.
 //!
 //! Behaviour:
 //!
 //! * **warmup** — each benchmark runs untimed until ~100 ms (at least 2
 //!   iterations) before sampling, so cold caches don't pollute sample 0;
-//! * **median-of-N** — N timed samples (default 10, or
-//!   [`BenchGroup::sample_size`]; env `NSQL_BENCH_SAMPLES` overrides all),
-//!   reported as `median (min … max)`. Medians resist scheduler noise
-//!   without criterion's bootstrap machinery;
+//! * **median-of-N** — N timed samples (default 10; env
+//!   `NSQL_BENCH_SAMPLES`, a positive integer, overrides it), reported as
+//!   `median (min … max)`. Medians resist scheduler noise without
+//!   criterion's bootstrap machinery;
 //! * **JSON** — with `NSQL_BENCH_JSON=<path>`, appends one JSON object per
 //!   benchmark (group, name, nanosecond stats) for scripting;
 //! * **test mode** — cargo runs `harness = false` bench targets during
@@ -22,11 +22,14 @@ pub use std::hint::black_box;
 use std::io::Write as _;
 use std::time::{Duration, Instant};
 
+/// Timed samples per benchmark unless `NSQL_BENCH_SAMPLES` overrides it.
+const DEFAULT_SAMPLES: usize = 10;
+
 /// Top-level bench context; create one per bench binary via
-/// [`Bench::from_env`] and pass to each bench function.
+/// [`Bench::from_env`].
 pub struct Bench {
     test_mode: bool,
-    sample_override: Option<usize>,
+    samples: usize,
     json_path: Option<String>,
 }
 
@@ -35,10 +38,9 @@ impl Bench {
     /// (`NSQL_BENCH_SAMPLES`, `NSQL_BENCH_JSON`).
     pub fn from_env() -> Bench {
         let test_mode = std::env::args().any(|a| a == "--test");
-        let sample_override = std::env::var("NSQL_BENCH_SAMPLES")
-            .ok()
-            .map(|v| v.parse().unwrap_or_else(|_| panic!("bad NSQL_BENCH_SAMPLES: {v}")));
-        Bench { test_mode, sample_override, json_path: std::env::var("NSQL_BENCH_JSON").ok() }
+        let samples =
+            std::env::var("NSQL_BENCH_SAMPLES").map_or(DEFAULT_SAMPLES, |v| parse_samples(&v));
+        Bench { test_mode, samples, json_path: std::env::var("NSQL_BENCH_JSON").ok() }
     }
 
     /// Start a named group of benchmarks.
@@ -46,28 +48,27 @@ impl Bench {
         if !self.test_mode {
             println!("── {name}");
         }
-        BenchGroup { bench: self, name: name.to_string(), samples: 10 }
+        BenchGroup { bench: self, name: name.to_string() }
     }
+}
+
+/// A positive sample count; anything else (including `0`, which leaves no
+/// sample to take a median of) is rejected naming the variable.
+fn parse_samples(v: &str) -> usize {
+    v.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| panic!("bad NSQL_BENCH_SAMPLES: {v}"))
 }
 
 /// A named group of related benchmarks.
 pub struct BenchGroup<'a> {
     bench: &'a mut Bench,
     name: String,
-    samples: usize,
 }
 
 impl BenchGroup<'_> {
-    /// Set the number of timed samples for subsequent benchmarks.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.samples = n.max(3);
-        self
-    }
-
     /// Run one benchmark. The closure receives a [`Bencher`] and must call
     /// [`Bencher::iter`] exactly once with the code under measurement.
     pub fn bench_function(&mut self, id: &str, mut f: impl FnMut(&mut Bencher)) -> &mut Self {
-        let samples = self.bench.sample_override.unwrap_or(self.samples);
+        let samples = self.bench.samples;
         let mut b = Bencher { mode: if self.bench.test_mode { Mode::Smoke } else { Mode::Measure { samples } }, stats: None };
         f(&mut b);
         match (self.bench.test_mode, b.stats) {
@@ -96,9 +97,6 @@ impl BenchGroup<'_> {
         }
         self
     }
-
-    /// End the group (parity with the Criterion API; prints nothing).
-    pub fn finish(&mut self) {}
 }
 
 enum Mode {
@@ -167,19 +165,6 @@ fn fmt_ns(ns: u128) -> String {
     }
 }
 
-/// Generate the `fn main()` of a `harness = false` bench target from a
-/// list of `fn(&mut Bench)` benchmark functions (the shape
-/// `criterion_group!`/`criterion_main!` used to provide).
-#[macro_export]
-macro_rules! bench_main {
-    ($($f:path),+ $(,)?) => {
-        fn main() {
-            let mut bench = $crate::bench::Bench::from_env();
-            $($f(&mut bench);)+
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,6 +175,24 @@ mod tests {
         assert_eq!(fmt_ns(1_500), "1.500 µs");
         assert_eq!(fmt_ns(2_000_000), "2.000 ms");
         assert_eq!(fmt_ns(3_200_000_000), "3.200 s");
+    }
+
+    #[test]
+    fn sample_count_parses_positive_integers() {
+        assert_eq!(parse_samples("1"), 1);
+        assert_eq!(parse_samples("25"), 25);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad NSQL_BENCH_SAMPLES: 0")]
+    fn zero_samples_are_rejected() {
+        parse_samples("0");
+    }
+
+    #[test]
+    #[should_panic(expected = "bad NSQL_BENCH_SAMPLES: ten")]
+    fn non_numeric_samples_are_rejected() {
+        parse_samples("ten");
     }
 
     #[test]

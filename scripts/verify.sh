@@ -183,20 +183,7 @@ cargo clippy -p nsql-engine -p nsql-storage -p nsql-index -p nsql-vec -p nsql-ca
     -p nsql-core \
     --all-targets --offline -- -D clippy::redundant_clone
 
-echo "==> bench smoke (3 samples per bench, results discarded)"
-NSQL_BENCH_SAMPLES=3 \
-    cargo bench -p nsql-bench --offline --bench nested_vs_transformed >/dev/null
-NSQL_BENCH_SAMPLES=3 \
-    cargo bench -p nsql-bench --offline --bench ja2_variants >/dev/null
-NSQL_BENCH_SAMPLES=3 \
-    cargo bench -p nsql-bench --offline --bench par_sweep >/dev/null
-NSQL_BENCH_SAMPLES=1 \
-    cargo bench -p nsql-bench --offline --bench vec_sweep >/dev/null
-NSQL_BENCH_SAMPLES=1 \
-    cargo bench -p nsql-bench --offline --bench cache_warm >/dev/null
-NSQL_BENCH_SAMPLES=1 \
-    cargo bench -p nsql-bench --offline --bench strategy_sweep >/dev/null
-NSQL_BENCH_SAMPLES=1 \
-    cargo bench -p nsql-bench --offline --bench stats_overhead >/dev/null
+echo "==> bench smoke (every ablation-matrix cell once, untimed, results discarded)"
+cargo bench -p nsql-bench --offline --bench matrix -- --test >/dev/null
 
 echo "verify: OK"

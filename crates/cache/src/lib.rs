@@ -2,36 +2,20 @@
 
 //! Cross-query result cache for nested-query evaluation.
 //!
-//! NEST-JA2's whole point is materializing an aggregate temp — but without a
-//! cache that work is thrown away after every statement. This crate keeps two
-//! kinds of entries alive across queries:
+//! Nested iteration re-runs the same inner block for every outer row, and
+//! — without a cache — for every query that repeats it. This crate keeps
+//! one kind of entry alive across queries: a [`BlockEntry`], an inner query
+//! block's result keyed on a normalized block signature plus the
+//! correlation-binding tuple (Guravannavar-style binding-keyed reuse), the
+//! FROM table's generation, and the owning catalog's epoch.
 //!
-//! * [`TempEntry`] — a transform-phase temporary table (the NEST-JA2
-//!   `TEMP(G, agg)` and its step-1/2 inputs), keyed on the *inlined* logical
-//!   plan text, an options fingerprint, the generation stamp of every base
-//!   table the plan reads, and the owning catalog's epoch. Each entry also
-//!   carries the recorded counted-I/O event sequence of its original
-//!   materialization, so a hit can *replay* the exact page-access pattern:
-//!   counted I/O and buffer evolution on a hit are identical to a cold
-//!   re-execution by construction.
-//! * [`BlockEntry`] — an inner query block's result keyed on a normalized
-//!   block signature plus the correlation-binding tuple (Guravannavar-style
-//!   binding-keyed reuse), the FROM table's generation, and the epoch.
-//!
-//! Eviction is byte-budgeted LRU over both kinds. Invalidation is precise:
-//! every DML path bumps the affected table's generation stamp (so stale
-//! entries can never match) *and* proactively drops entries that read the
-//! table (so the budget is returned immediately and the invalidation is
-//! observable in [`CacheStats`]).
-//!
-//! The Cohen–Nutt-style rewrite check ([`judge_rewrite`]) decides whether a
-//! cached `COUNT`/`SUM`/`AVG` view could soundly answer a structurally
-//! different aggregate request — most importantly *declining* the COUNT-bug
-//! sensitive cases, where the candidate view lost empty groups that the
-//! requested view must preserve.
+//! Eviction is byte-budgeted LRU. Invalidation is precise: every DML path
+//! bumps the affected table's generation stamp (so stale entries can never
+//! match) *and* proactively drops entries that read the table (so the
+//! budget is returned immediately and the invalidation is observable in
+//! [`CacheStats`]).
 
-use nsql_storage::{PageId, TraceEvent};
-use nsql_types::{Relation, Schema, Tuple};
+use nsql_types::{Relation, Tuple};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -54,14 +38,10 @@ pub fn approx_relation_bytes(rel: &Relation) -> usize {
 /// Snapshot of the cache's counters and occupancy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Entries served (exact temp-set hits, derived rewrite hits, and
-    /// block hits).
+    /// Block lookups served from the cache.
     pub hits: u64,
     /// Lookups that found nothing usable.
     pub misses: u64,
-    /// Rewrite candidates rejected by the soundness check (with reasons
-    /// rendered into EXPLAIN at the decline site).
-    pub declines: u64,
     /// Entries dropped by the byte-budget LRU.
     pub evictions: u64,
     /// Entries dropped by DML/reopen invalidation.
@@ -70,132 +50,6 @@ pub struct CacheStats {
     pub entries: u64,
     /// Estimated retained bytes.
     pub bytes: u64,
-}
-
-/// Semantic descriptor of an aggregate view (`TEMP(G, agg)`), deliberately
-/// looser than the structural cache key: group columns and the aggregate
-/// argument are reduced to unqualified names and filters to normalized
-/// predicate text, and the base-table set is *not* part of the descriptor.
-/// That way Kim's NEST-JA view and the NEST-JA2 view of the same query
-/// become comparable — which is exactly what lets the rewrite check fire
-/// (and decline) on the COUNT-bug cases.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AggViewDescriptor {
-    /// Unqualified GROUP BY column names, sorted.
-    pub group_cols: Vec<String>,
-    /// Aggregate function name (`COUNT`, `SUM`, …).
-    pub agg_func: String,
-    /// Unqualified aggregate argument column name, or `*`.
-    pub agg_arg: String,
-    /// Normalized restriction predicate texts, sorted.
-    pub filters: Vec<String>,
-    /// Whether the view preserves groups with no matching inner tuples
-    /// (NEST-JA2's LEFT OUTER join does; Kim's NEST-JA does not).
-    pub preserves_empty_groups: bool,
-}
-
-/// Verdict of the Cohen–Nutt-style rewrite check for answering `requested`
-/// from a cached `candidate` view.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RewriteJudgement {
-    /// The views are not about the same grouping/restriction — no reuse,
-    /// no decline to report.
-    NotComparable,
-    /// The candidate could soundly answer the request.
-    Sound,
-    /// The views match semantically but the rewrite is unsound; the reason
-    /// is rendered into EXPLAIN.
-    Decline(String),
-}
-
-/// Judge whether `candidate` can soundly answer `requested`.
-///
-/// Comparability requires the same grouping columns and the same restriction
-/// filters. Given that, the check declines:
-///
-/// * **COUNT-bug sensitivity** — the request needs empty groups preserved
-///   (it feeds a COUNT whose empty-group value is 0, materialized via a
-///   LEFT OUTER join) but the candidate dropped them (Kim's NEST-JA shape).
-///   Answering from the candidate would silently lose the zero-count
-///   groups: the paper's Section 3 bug, reintroduced through the cache.
-/// * **AVG from SUM/COUNT** — deriving AVG by dividing cached SUM by cached
-///   COUNT is rejected under the exact-float policy (the engine's AVG is
-///   a single-pass computation; a derived division can differ in the last
-///   ulp and break bit-identical accounting).
-/// * Any other aggregate mismatch (a SUM view cannot answer MAX, etc.).
-pub fn judge_rewrite(
-    requested: &AggViewDescriptor,
-    candidate: &AggViewDescriptor,
-) -> RewriteJudgement {
-    if requested.group_cols != candidate.group_cols || requested.filters != candidate.filters {
-        return RewriteJudgement::NotComparable;
-    }
-    if requested.preserves_empty_groups && !candidate.preserves_empty_groups {
-        return RewriteJudgement::Decline(format!(
-            "count-bug risk: cached {}({}) view dropped empty groups the request must preserve",
-            candidate.agg_func, candidate.agg_arg
-        ));
-    }
-    if requested.agg_func == "AVG"
-        && (candidate.agg_func == "SUM" || candidate.agg_func == "COUNT")
-    {
-        return RewriteJudgement::Decline(format!(
-            "AVG({}) from cached {}({}) rejected: exact-float policy forbids derived division",
-            requested.agg_arg, candidate.agg_func, candidate.agg_arg
-        ));
-    }
-    if requested.agg_func != candidate.agg_func || requested.agg_arg != candidate.agg_arg {
-        return RewriteJudgement::NotComparable;
-    }
-    RewriteJudgement::Sound
-}
-
-/// A cached transform-phase temporary table.
-#[derive(Debug, Clone)]
-pub struct TempEntry {
-    /// Inlined logical-plan text: references to earlier temps are expanded
-    /// to their defining plans, so the key is self-contained.
-    pub text: String,
-    /// Options fingerprint (join policy, index use, page geometry) — the
-    /// knobs that change the materialization's physical I/O.
-    pub fingerprint: String,
-    /// Sorted `(base table, generation)` pairs the plan transitively reads.
-    pub bases: Vec<(String, u64)>,
-    /// Owning catalog epoch (bumped by `Database::open` recovery).
-    pub epoch: u64,
-    /// Output schema as registered (already requalified to the temp name).
-    pub schema: Schema,
-    /// Output pages in file order: original page id plus page contents.
-    pub output_pages: Vec<(PageId, Vec<Tuple>)>,
-    /// Output tuple count.
-    pub tuple_count: usize,
-    /// Column indexes the output is physically sorted by.
-    pub sorted_by: Vec<usize>,
-    /// The recorded counted-I/O event sequence of the materialization.
-    pub trace: Vec<TraceEvent>,
-    /// `(temp name, entry id)` of earlier temps this materialization read;
-    /// a hit is sound only if those exact entries also hit this query (the
-    /// replay pid map then covers every cross-temp page reference).
-    pub deps: Vec<(String, u64)>,
-    /// Aggregate-view descriptor, when the temp is an aggregate
-    /// materialization (enables the rewrite check).
-    pub view: Option<AggViewDescriptor>,
-}
-
-impl TempEntry {
-    fn bytes(&self) -> usize {
-        let pages: usize = self
-            .output_pages
-            .iter()
-            .map(|(_, ts)| ts.iter().map(approx_tuple_bytes).sum::<usize>() + 32)
-            .sum();
-        self.text.len() + self.fingerprint.len() + pages + self.trace.len() * 24 + 128
-    }
-
-    /// Position of `pid` in the output file, if it is an output page.
-    pub fn output_index(&self, pid: PageId) -> Option<usize> {
-        self.output_pages.iter().position(|(p, _)| *p == pid)
-    }
 }
 
 /// A cached inner-block result under one correlation binding.
@@ -226,21 +80,14 @@ impl BlockEntry {
     }
 }
 
-enum EntryKind {
-    Temp(Arc<TempEntry>),
-    Block(Arc<BlockEntry>),
-}
-
 struct Slot {
-    id: u64,
     bytes: usize,
     last_used: u64,
-    kind: EntryKind,
+    entry: Arc<BlockEntry>,
 }
 
 struct Inner {
     slots: Vec<Slot>,
-    next_id: u64,
     tick: u64,
     bytes: usize,
 }
@@ -252,7 +99,6 @@ pub struct QueryCache {
     budget: usize,
     hits: AtomicU64,
     misses: AtomicU64,
-    declines: AtomicU64,
     evictions: AtomicU64,
     invalidations: AtomicU64,
 }
@@ -261,11 +107,10 @@ impl QueryCache {
     /// A cache with the given byte budget.
     pub fn new(budget: usize) -> QueryCache {
         QueryCache {
-            inner: Mutex::new(Inner { slots: Vec::new(), next_id: 1, tick: 0, bytes: 0 }),
+            inner: Mutex::new(Inner { slots: Vec::new(), tick: 0, bytes: 0 }),
             budget,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            declines: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
         }
@@ -285,88 +130,7 @@ impl QueryCache {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Find a temp entry by exact structural key. Does not touch the
-    /// hit/miss counters: the transform consult is all-or-nothing across a
-    /// plan's temps, so the caller reports the per-temp outcome once the
-    /// whole-plan decision is made (via [`QueryCache::note_hits`] /
-    /// [`QueryCache::note_misses`]).
-    pub fn find_temp(
-        &self,
-        text: &str,
-        fingerprint: &str,
-        bases: &[(String, u64)],
-        epoch: u64,
-    ) -> Option<(u64, Arc<TempEntry>)> {
-        let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        for slot in inner.slots.iter_mut() {
-            if let EntryKind::Temp(e) = &slot.kind {
-                if e.epoch == epoch
-                    && e.text == text
-                    && e.fingerprint == fingerprint
-                    && e.bases == bases
-                {
-                    slot.last_used = tick;
-                    return Some((slot.id, Arc::clone(e)));
-                }
-            }
-        }
-        None
-    }
-
-    /// Find a temp entry matching everything but the options fingerprint —
-    /// the cross-policy "derived hit" the rewrite mode allows (contents are
-    /// policy-independent even though the recorded I/O is not).
-    pub fn find_temp_any_fingerprint(
-        &self,
-        text: &str,
-        exclude_fingerprint: &str,
-        bases: &[(String, u64)],
-        epoch: u64,
-    ) -> Option<(u64, Arc<TempEntry>)> {
-        let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        for slot in inner.slots.iter_mut() {
-            if let EntryKind::Temp(e) = &slot.kind {
-                if e.epoch == epoch
-                    && e.text == text
-                    && e.fingerprint != exclude_fingerprint
-                    && e.bases == bases
-                {
-                    slot.last_used = tick;
-                    return Some((slot.id, Arc::clone(e)));
-                }
-            }
-        }
-        None
-    }
-
-    /// All live aggregate-view entries for `epoch` (rewrite-check
-    /// candidates).
-    pub fn agg_views(&self, epoch: u64) -> Vec<Arc<TempEntry>> {
-        self.lock()
-            .slots
-            .iter()
-            .filter_map(|s| match &s.kind {
-                EntryKind::Temp(e) if e.epoch == epoch && e.view.is_some() => {
-                    Some(Arc::clone(e))
-                }
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Publish a temp entry, evicting LRU-first down to the byte budget.
-    /// Returns the entry id (used in dependents' `deps`).
-    pub fn publish_temp(&self, entry: TempEntry) -> u64 {
-        let bytes = entry.bytes();
-        self.insert(EntryKind::Temp(Arc::new(entry)), bytes)
-    }
-
-    /// Look up an inner-block result. Bumps hit/miss counters (the block
-    /// consult is a single decision point, unlike the temp-set consult).
+    /// Look up an inner-block result. Bumps the hit/miss counters.
     pub fn find_block(
         &self,
         signature: &str,
@@ -379,19 +143,18 @@ impl QueryCache {
         inner.tick += 1;
         let tick = inner.tick;
         for slot in inner.slots.iter_mut() {
-            if let EntryKind::Block(e) = &slot.kind {
-                if e.epoch == epoch
-                    && e.generation == generation
-                    && e.table == table
-                    && e.signature == signature
-                    && &e.binding == binding
-                {
-                    slot.last_used = tick;
-                    let hit = Arc::clone(e);
-                    drop(inner);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Some(hit);
-                }
+            let e = &slot.entry;
+            if e.epoch == epoch
+                && e.generation == generation
+                && e.table == table
+                && e.signature == signature
+                && &e.binding == binding
+            {
+                slot.last_used = tick;
+                let hit = Arc::clone(e);
+                drop(inner);
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Some(hit);
             }
         }
         drop(inner);
@@ -399,28 +162,28 @@ impl QueryCache {
         None
     }
 
-    /// Publish an inner-block result.
+    /// Publish an inner-block result, evicting LRU-first down to the byte
+    /// budget. An entry larger than the whole budget is not admitted: it
+    /// would evict every other entry and then itself.
     pub fn publish_block(&self, entry: BlockEntry) {
         let bytes = entry.bytes();
-        self.insert(EntryKind::Block(Arc::new(entry)), bytes);
-    }
-
-    fn insert(&self, kind: EntryKind, bytes: usize) -> u64 {
+        if bytes > self.budget {
+            return;
+        }
         let mut inner = self.lock();
         inner.tick += 1;
-        let (tick, id) = (inner.tick, inner.next_id);
-        inner.next_id += 1;
+        let last_used = inner.tick;
         inner.bytes += bytes;
-        inner.slots.push(Slot { id, bytes, last_used: tick, kind });
+        inner.slots.push(Slot { bytes, last_used, entry: Arc::new(entry) });
         let mut evicted = 0u64;
-        while inner.bytes > self.budget && !inner.slots.is_empty() {
+        while inner.bytes > self.budget {
             let lru = inner
                 .slots
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, s)| s.last_used)
                 .map(|(i, _)| i)
-                .expect("non-empty");
+                .expect("bytes > 0 implies a live slot");
             let gone = inner.slots.swap_remove(lru);
             inner.bytes -= gone.bytes;
             evicted += 1;
@@ -429,49 +192,21 @@ impl QueryCache {
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
-        id
     }
 
-    /// Drop every entry that reads `table` (temp entries via their base
-    /// set, block entries via their FROM table). Called by the catalog on
-    /// every DML path, so budget is returned immediately.
+    /// Drop every entry whose FROM table is `table`. Called by the catalog
+    /// on every DML path, so budget is returned immediately.
     pub fn invalidate_table(&self, table: &str) {
         let table = table.to_ascii_uppercase();
         let mut inner = self.lock();
-        let mut dropped = 0u64;
-        let mut i = 0;
-        while i < inner.slots.len() {
-            let stale = match &inner.slots[i].kind {
-                EntryKind::Temp(e) => e.bases.iter().any(|(t, _)| *t == table),
-                EntryKind::Block(e) => e.table == table,
-            };
-            if stale {
-                let gone = inner.slots.swap_remove(i);
-                inner.bytes -= gone.bytes;
-                dropped += 1;
-            } else {
-                i += 1;
-            }
-        }
+        let before = inner.slots.len();
+        inner.slots.retain(|s| s.entry.table != table);
+        inner.bytes = inner.slots.iter().map(|s| s.bytes).sum();
+        let dropped = (before - inner.slots.len()) as u64;
         drop(inner);
         if dropped > 0 {
             self.invalidations.fetch_add(dropped, Ordering::Relaxed);
         }
-    }
-
-    /// Report `n` served temp hits.
-    pub fn note_hits(&self, n: u64) {
-        self.hits.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Report `n` temp misses.
-    pub fn note_misses(&self, n: u64) {
-        self.misses.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Report one declined rewrite.
-    pub fn note_decline(&self) {
-        self.declines.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counter + occupancy snapshot.
@@ -480,7 +215,6 @@ impl QueryCache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            declines: self.declines.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
             entries: inner.slots.len() as u64,
@@ -494,118 +228,78 @@ mod tests {
     use super::*;
     use nsql_types::{Column, ColumnType, Schema, Value};
 
-    fn view(preserves: bool, func: &str) -> AggViewDescriptor {
-        AggViewDescriptor {
-            group_cols: vec!["PNUM".into()],
-            agg_func: func.into(),
-            agg_arg: "SHIPDATE".into(),
-            filters: vec!["SHIPDATE < DATE '1980-01-01'".into()],
-            preserves_empty_groups: preserves,
-        }
+    fn int(v: i64) -> Tuple {
+        Tuple::new(vec![Value::Int(v)])
     }
 
-    fn temp_entry(text: &str, fp: &str, gen: u64) -> TempEntry {
-        TempEntry {
-            text: text.into(),
-            fingerprint: fp.into(),
-            bases: vec![("SUPPLY".into(), gen)],
+    /// A block entry for `sig` under binding `b` over `table`, holding
+    /// `rows` one-column rows.
+    fn block(sig: &str, b: i64, table: &str, generation: u64, rows: i64) -> BlockEntry {
+        let schema = Schema::new(vec![Column::new("A", ColumnType::Int)]);
+        BlockEntry {
+            signature: sig.into(),
+            binding: int(b),
+            table: table.into(),
+            generation,
             epoch: 0,
-            schema: Schema::new(vec![Column::new("A", ColumnType::Int)]),
-            output_pages: vec![(PageId(7), vec![Tuple::new(vec![Value::Int(1)])])],
-            tuple_count: 1,
-            sorted_by: vec![],
-            trace: vec![TraceEvent::Write(PageId(7))],
-            deps: vec![],
-            view: None,
+            rel: Relation::new(schema, (0..rows).map(int).collect()).unwrap(),
         }
-    }
-
-    #[test]
-    fn rewrite_check_declines_count_bug() {
-        let requested = view(true, "COUNT");
-        let kim = view(false, "COUNT");
-        match judge_rewrite(&requested, &kim) {
-            RewriteJudgement::Decline(r) => assert!(r.contains("count-bug"), "{r}"),
-            other => panic!("expected decline, got {other:?}"),
-        }
-        // Same shape with empty groups preserved is sound.
-        assert_eq!(judge_rewrite(&requested, &view(true, "COUNT")), RewriteJudgement::Sound);
-    }
-
-    #[test]
-    fn rewrite_check_declines_avg_from_sum() {
-        let requested = view(false, "AVG");
-        match judge_rewrite(&requested, &view(false, "SUM")) {
-            RewriteJudgement::Decline(r) => assert!(r.contains("exact-float"), "{r}"),
-            other => panic!("expected decline, got {other:?}"),
-        }
-        // Different grouping is simply not comparable.
-        let mut other_group = view(false, "AVG");
-        other_group.group_cols = vec!["QOH".into()];
-        assert_eq!(
-            judge_rewrite(&requested, &other_group),
-            RewriteJudgement::NotComparable
-        );
-    }
-
-    #[test]
-    fn generation_mismatch_never_matches() {
-        let c = QueryCache::with_defaults();
-        c.publish_temp(temp_entry("Scan SUPPLY", "fp", 1));
-        assert!(c.find_temp("Scan SUPPLY", "fp", &[("SUPPLY".into(), 1)], 0).is_some());
-        assert!(c.find_temp("Scan SUPPLY", "fp", &[("SUPPLY".into(), 2)], 0).is_none());
-        assert!(c.find_temp("Scan SUPPLY", "fp", &[("SUPPLY".into(), 1)], 1).is_none());
-    }
-
-    #[test]
-    fn lru_eviction_respects_byte_budget() {
-        let c = QueryCache::new(600);
-        c.publish_temp(temp_entry("plan A", "fp", 1));
-        c.publish_temp(temp_entry("plan B", "fp", 1));
-        // Touch A so B is the LRU victim when C overflows the budget.
-        let _ = c.find_temp("plan A", "fp", &[("SUPPLY".into(), 1)], 0);
-        c.publish_temp(temp_entry("plan C", "fp", 1));
-        let stats = c.stats();
-        assert!(stats.evictions > 0, "600-byte budget must evict: {stats:?}");
-        assert!(stats.bytes <= 600, "budget respected: {stats:?}");
-        assert!(
-            c.find_temp("plan B", "fp", &[("SUPPLY".into(), 1)], 0).is_none(),
-            "LRU entry was the victim"
-        );
-    }
-
-    #[test]
-    fn invalidation_drops_matching_tables_only() {
-        let c = QueryCache::with_defaults();
-        c.publish_temp(temp_entry("plan A", "fp", 1));
-        let mut other = temp_entry("plan B", "fp", 1);
-        other.bases = vec![("PARTS".into(), 1)];
-        c.publish_temp(other);
-        c.invalidate_table("SUPPLY");
-        let stats = c.stats();
-        assert_eq!(stats.invalidations, 1);
-        assert_eq!(stats.entries, 1);
-        assert!(c.find_temp("plan B", "fp", &[("PARTS".into(), 1)], 0).is_some());
     }
 
     #[test]
     fn block_entries_key_on_binding_and_generation() {
         let c = QueryCache::with_defaults();
-        let rel = Relation::empty(Schema::new(vec![Column::new("A", ColumnType::Int)]));
-        c.publish_block(BlockEntry {
-            signature: "sig".into(),
-            binding: Tuple::new(vec![Value::Int(3)]),
-            table: "SUPPLY".into(),
-            generation: 1,
-            epoch: 0,
-            rel,
-        });
-        let b3 = Tuple::new(vec![Value::Int(3)]);
-        let b4 = Tuple::new(vec![Value::Int(4)]);
-        assert!(c.find_block("sig", &b3, "SUPPLY", 1, 0).is_some());
-        assert!(c.find_block("sig", &b4, "SUPPLY", 1, 0).is_none());
-        assert!(c.find_block("sig", &b3, "SUPPLY", 2, 0).is_none(), "stale generation");
+        c.publish_block(block("sig", 3, "SUPPLY", 1, 0));
+        assert!(c.find_block("sig", &int(3), "SUPPLY", 1, 0).is_some());
+        assert!(c.find_block("sig", &int(4), "SUPPLY", 1, 0).is_none());
+        assert!(c.find_block("other", &int(3), "SUPPLY", 1, 0).is_none());
+        assert!(c.find_block("sig", &int(3), "SUPPLY", 2, 0).is_none(), "stale generation");
+        assert!(c.find_block("sig", &int(3), "SUPPLY", 1, 1).is_none(), "other epoch");
         let stats = c.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 2));
+        assert_eq!((stats.hits, stats.misses), (1, 4));
+    }
+
+    #[test]
+    fn lru_eviction_respects_byte_budget() {
+        let one = block("sig", 1, "SUPPLY", 1, 4).bytes();
+        let c = QueryCache::new(2 * one + one / 2);
+        c.publish_block(block("sig", 1, "SUPPLY", 1, 4));
+        c.publish_block(block("sig", 2, "SUPPLY", 1, 4));
+        // Touch binding 1 so binding 2 is the LRU victim when 3 overflows.
+        assert!(c.find_block("sig", &int(1), "SUPPLY", 1, 0).is_some());
+        c.publish_block(block("sig", 3, "SUPPLY", 1, 4));
+        let stats = c.stats();
+        assert_eq!((stats.evictions, stats.entries), (1, 2), "{stats:?}");
+        assert!(stats.bytes as usize <= c.budget(), "budget respected: {stats:?}");
+        assert!(c.find_block("sig", &int(2), "SUPPLY", 1, 0).is_none(), "LRU was the victim");
+        assert!(c.find_block("sig", &int(1), "SUPPLY", 1, 0).is_some());
+        assert!(c.find_block("sig", &int(3), "SUPPLY", 1, 0).is_some());
+    }
+
+    #[test]
+    fn oversized_entry_is_not_admitted() {
+        let c = QueryCache::new(4096);
+        c.publish_block(block("sig", 1, "SUPPLY", 1, 1));
+        let big = block("sig", 2, "SUPPLY", 1, 1000);
+        assert!(big.bytes() > c.budget());
+        c.publish_block(big);
+        let stats = c.stats();
+        assert_eq!((stats.entries, stats.evictions), (1, 0), "{stats:?}");
+        assert!(c.find_block("sig", &int(1), "SUPPLY", 1, 0).is_some(), "small entry survives");
+        assert!(c.find_block("sig", &int(2), "SUPPLY", 1, 0).is_none());
+    }
+
+    #[test]
+    fn invalidation_drops_matching_tables_only() {
+        let c = QueryCache::with_defaults();
+        c.publish_block(block("sig", 1, "SUPPLY", 1, 2));
+        c.publish_block(block("sig", 2, "SUPPLY", 1, 2));
+        c.publish_block(block("sig", 1, "PARTS", 1, 2));
+        c.invalidate_table("supply");
+        let stats = c.stats();
+        assert_eq!((stats.invalidations, stats.entries), (2, 1), "{stats:?}");
+        assert_eq!(stats.bytes as usize, block("sig", 1, "PARTS", 1, 2).bytes());
+        assert!(c.find_block("sig", &int(1), "PARTS", 1, 0).is_some());
+        assert!(c.find_block("sig", &int(1), "SUPPLY", 1, 0).is_none());
     }
 }

@@ -169,11 +169,6 @@ impl Catalog {
         self.generations.get(&table.to_ascii_uppercase()).copied().unwrap_or(0)
     }
 
-    /// This catalog incarnation's cache epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Record a mutation of `key` (already uppercased): bump its
     /// generation and drop any cache entries built over it.
     fn touch(&mut self, key: &str) {

@@ -447,20 +447,6 @@ impl Database {
                 }
                 let mut pe = PlanExecutor::new(exec, &self.catalog, opts.join_policy);
                 pe.set_index_use(opts.index_use);
-                if r.cache.enabled() {
-                    pe.set_cache(crate::result_cache::CacheCtx {
-                        cache: Arc::clone(&self.cache),
-                        fingerprint: format!(
-                            "policy={};index={};page={};buf={}",
-                            opts.join_policy.name(),
-                            opts.index_use.name(),
-                            storage.page_size(),
-                            storage.buffer_pages()
-                        ),
-                        epoch: self.catalog.epoch(),
-                        rewrite: r.cache.rewrite(),
-                    });
-                }
                 let span = tracer.begin("execute plan");
                 let rel =
                     pe.execute_transform_plan(&plan, plan.needs_distinct_for_semantics);
@@ -491,7 +477,6 @@ impl Database {
             let counters = CacheCounters {
                 hits: s.hits,
                 misses: s.misses,
-                declines: s.declines,
                 evictions: s.evictions,
                 invalidations: s.invalidations,
                 entries: s.entries,
@@ -721,7 +706,7 @@ mod tests {
         let plain = db.query_with(Q2, &base).unwrap();
         let s1 = db.catalog.storage().io_snapshot();
         let observed = db
-            .query_with(Q2, &QueryOptions { observe: true, ..base.clone() })
+            .query_with(Q2, &QueryOptions { observe: true, ..base })
             .unwrap();
         let s2 = db.catalog.storage().io_snapshot();
         assert!(plain.relation.same_bag(&observed.relation));

@@ -489,9 +489,10 @@ impl Database {
 
 /// The decision header every report prints, executed or not: the strategy
 /// line, the exec-mode line when the vector kernels run, the NEST-G trace
-/// and canonical form when `plan` is the transform's, and the cache line.
-/// `cache_counts` (inner-block hits and misses, known only after nested
-/// iteration or batched evaluation ran) extends the cache line.
+/// and canonical form when `plan` is the transform's, and — for the
+/// strategies that consult the cache (nested iteration, batched) — the
+/// cache line. `cache_counts` (inner-block hits and misses, known only
+/// after the evaluation ran) extends the cache line.
 pub(crate) fn decision_header(
     r: &Resolved,
     join_policy: JoinPolicy,
@@ -518,7 +519,7 @@ pub(crate) fn decision_header(
         lines.extend(plan.trace.iter().cloned());
         lines.push(format!("canonical: {}", nsql_sql::print_query(&plan.canonical)));
     }
-    if r.cache.enabled() {
+    if r.cache.enabled() && r.strategy != Strategy::Transform {
         let mut line = format!("cache: mode {}", r.cache.name());
         if let Some((h, m)) = cache_counts {
             line.push_str(&format!(", inner-block {h} hit(s), {m} miss(es)"));

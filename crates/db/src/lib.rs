@@ -32,7 +32,6 @@ pub mod error;
 pub mod explain;
 pub mod options;
 pub mod plan_exec;
-pub mod result_cache;
 pub mod stat_views;
 
 pub use catalog::Catalog;

@@ -79,17 +79,6 @@ pub enum IndexUse {
     Never,
 }
 
-impl IndexUse {
-    /// Display name used in experiment output.
-    pub fn name(self) -> &'static str {
-        match self {
-            IndexUse::CostBased => "cost-based",
-            IndexUse::Prefer => "prefer-index",
-            IndexUse::Never => "no-index",
-        }
-    }
-}
-
 /// What NEST-N-J's join expansion does to row multiplicity — the paper's
 /// Section 4 duplicates problem made an explicit, documented choice instead
 /// of a silent set-level test comparison.
@@ -165,24 +154,21 @@ impl ExecMode {
 /// Cross-query result caching policy (see `nsql-cache` and DESIGN.md
 /// "Result caching").
 ///
-/// `On` serves only *exact* hits: same normalized computation, same
-/// binding, same catalog generations. Exact hits recharge the recorded
-/// page-access sequence, so results **and** counted I/O are byte-identical
-/// with an uncached run (checked by `scripts/verify.sh`). `Rewrite`
-/// additionally answers from materialized aggregate views when the
-/// Cohen-style soundness check proves the rewrite safe; derived answers
-/// rebuild the temp from cached tuples, so their I/O legitimately differs
-/// from a cold run (results never do).
+/// The cache holds inner-block results under one correlation binding, so
+/// only the strategies that evaluate inner blocks — nested iteration and
+/// batched evaluation — consult it; the transform path runs uncached. A
+/// hit requires the same normalized block, the same binding and the same
+/// table generation, and recharges the block's inner-scan page sequence,
+/// so results **and** counted I/O are byte-identical with an uncached run
+/// (checked by `scripts/verify.sh`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheMode {
     /// Never consult or populate the cache.
     Off,
-    /// Exact hits only — I/O-transparent.
+    /// Consult and populate the cache — I/O-transparent.
     On,
-    /// Exact hits plus sound aggregate-view rewrites.
-    Rewrite,
-    /// Resolve from `NSQL_CACHE` (`on`/`1` → [`CacheMode::On`],
-    /// `rewrite` → [`CacheMode::Rewrite`]; anything else, or unset → off).
+    /// Resolve from `NSQL_CACHE` (`on`/`1` → [`CacheMode::On`]; anything
+    /// else, or unset → off).
     #[default]
     Auto,
 }
@@ -193,7 +179,6 @@ impl CacheMode {
         match self {
             CacheMode::Off => "off",
             CacheMode::On => "on",
-            CacheMode::Rewrite => "rewrite",
             CacheMode::Auto => "auto",
         }
     }
@@ -207,7 +192,6 @@ impl CacheMode {
         match self {
             CacheMode::Auto => match env("NSQL_CACHE") {
                 Some(v) if v.eq_ignore_ascii_case("on") || v == "1" => CacheMode::On,
-                Some(v) if v.eq_ignore_ascii_case("rewrite") => CacheMode::Rewrite,
                 _ => CacheMode::Off,
             },
             other => other,
@@ -217,12 +201,6 @@ impl CacheMode {
     /// Whether this mode (after `Auto` resolution) consults the cache.
     pub fn enabled(self) -> bool {
         !matches!(self.resolve(), CacheMode::Off)
-    }
-
-    /// Whether this mode (after `Auto` resolution) may answer via
-    /// aggregate-view rewrite.
-    pub fn rewrite(self) -> bool {
-        matches!(self.resolve(), CacheMode::Rewrite)
     }
 }
 
@@ -477,7 +455,7 @@ mod tests {
             .resolve_in(&env_of(&[
                 ("NSQL_STRATEGY", "NI"),
                 ("NSQL_EXEC_MODE", "vectorized"),
-                ("NSQL_CACHE", "rewrite"),
+                ("NSQL_CACHE", "ON"),
                 ("NSQL_THREADS", "4"),
                 ("NSQL_SLOW_QUERY_MS", "7"),
             ]))
@@ -487,7 +465,7 @@ mod tests {
             Resolved {
                 strategy: Strategy::NestedIteration,
                 vectorized: true,
-                cache: CacheMode::Rewrite,
+                cache: CacheMode::On,
                 threads: 4,
                 slow_query_us: Some(7000),
             }
@@ -505,6 +483,9 @@ mod tests {
             .unwrap();
         assert_eq!((junk.strategy, junk.vectorized), (Strategy::Transform, false));
         assert_eq!((junk.cache, junk.slow_query_us), (CacheMode::Off, None));
+        // The retired `rewrite` value is just another unknown value.
+        let rewrite = CacheMode::Auto.resolve_in(&env_of(&[("NSQL_CACHE", "rewrite")]));
+        assert_eq!(rewrite, CacheMode::Off);
     }
 
     #[test]

@@ -14,9 +14,7 @@
 use crate::error::DbError;
 use crate::explain::TempStat;
 use crate::options::{IndexUse, JoinPolicy};
-use crate::result_cache::{replay_temp, temp_keys, CacheCtx, TempKey};
 use crate::Result;
-use nsql_cache::{judge_rewrite, RewriteJudgement, TempEntry};
 use nsql_core::cost::{index_nested_join_cost, index_restrict_cost, sort_cost};
 use nsql_core::{JoinPred, LogicalJoinKind, LogicalPlan, TransformPlan};
 use nsql_engine::{AggSpec, CExpr, CPred, Exec, ExecObs, JoinKind, Projector, TableProvider};
@@ -105,7 +103,6 @@ pub struct PlanExecutor<T: TableProvider> {
     temps: HashMap<String, PlanOutput>,
     policy: JoinPolicy,
     index_use: IndexUse,
-    cache: Option<CacheCtx>,
     /// EXPLAIN-style log of physical decisions.
     pub log: Vec<String>,
 }
@@ -119,7 +116,6 @@ impl<T: TableProvider> PlanExecutor<T> {
             temps: HashMap::new(),
             policy,
             index_use: IndexUse::default(),
-            cache: None,
             log: Vec::new(),
         }
     }
@@ -127,11 +123,6 @@ impl<T: TableProvider> PlanExecutor<T> {
     /// Change whether index paths may be taken (default: cost-based).
     pub fn set_index_use(&mut self, index_use: IndexUse) {
         self.index_use = index_use;
-    }
-
-    /// Attach the cross-query result cache for temp materializations.
-    pub fn set_cache(&mut self, ctx: CacheCtx) {
-        self.cache = Some(ctx);
     }
 
     /// The underlying operator executor.
@@ -204,241 +195,31 @@ impl<T: TableProvider> PlanExecutor<T> {
         plan: &TransformPlan,
         force_distinct: bool,
     ) -> Result<Relation> {
-        match self.cache.clone() {
-            Some(ctx) if !plan.temps.is_empty() => {
-                self.materialize_temps_cached(&ctx, plan)?
-            }
-            _ => self.materialize_temps(plan, None)?,
-        }
+        self.materialize_temps(plan)?;
         self.execute_flat_query(&plan.canonical, force_distinct)
     }
 
-    /// Cold materialization of every temp, optionally recording each
-    /// one's page-event trace and publishing it afterwards (the cache-miss
-    /// path). Recording piggybacks on the unchanged execution — a miss is
-    /// byte-identical to running with the cache off by construction.
-    fn materialize_temps(
-        &mut self,
-        plan: &TransformPlan,
-        publish: Option<(&CacheCtx, &[TempKey])>,
-    ) -> Result<()> {
-        // Published entry ids by uppercased temp name, recorded into
-        // dependents' `deps` so a later hit only accepts this exact set.
-        let mut published: HashMap<String, u64> = HashMap::new();
-        for (i, temp) in plan.temps.iter().enumerate() {
+    /// Materialize every temp in creation order and register it under its
+    /// name.
+    fn materialize_temps(&mut self, plan: &TransformPlan) -> Result<()> {
+        for temp in &plan.temps {
             let exec = self.exec.clone();
-            if publish.is_some() {
-                exec.storage().start_recording();
-            }
             let out = observed(
                 &exec,
                 &format!("materialize {}", temp.name),
                 0,
                 |o: &PlanOutput| o.file.tuple_count() as u64,
                 || self.run_plan(&temp.plan),
-            );
-            let trace = publish.is_some().then(|| exec.storage().take_recording());
-            let out = out?;
+            )?;
             let schema = out.file.schema().requalify(&temp.name);
             let file = out.file.with_schema(schema);
             self.log_materialize(&temp.name, &file, &out.sorted_by);
-            if let Some((ctx, keys)) = publish {
-                let key = &keys[i];
-                let output_pages = file
-                    .page_ids()
-                    .iter()
-                    .map(|&pid| (pid, exec.storage().read_page_tuples_uncounted(pid)))
-                    .collect();
-                let deps = key
-                    .dep_names
-                    .iter()
-                    .map(|n| (n.clone(), published[n]))
-                    .collect();
-                let id = ctx.cache.publish_temp(TempEntry {
-                    text: key.text.clone(),
-                    fingerprint: ctx.fingerprint.clone(),
-                    bases: key.bases.clone(),
-                    epoch: ctx.epoch,
-                    schema: file.schema().clone(),
-                    output_pages,
-                    tuple_count: file.tuple_count(),
-                    sorted_by: out.sorted_by.clone(),
-                    trace: trace.unwrap_or_default(),
-                    deps,
-                    view: key.view.clone(),
-                });
-                published.insert(temp.name.to_ascii_uppercase(), id);
-                self.log.push(format!(
-                    "cache: miss {} (recorded and published)",
-                    temp.name
-                ));
-            }
             self.register_temp(
                 &temp.name,
                 PlanOutput { file, sorted_by: out.sorted_by, indexes: vec![] },
             );
         }
         Ok(())
-    }
-
-    /// The cache consult: exact hit on all temps → replay; otherwise
-    /// (rewrite mode) derived hit on all temps → rebuild; otherwise report
-    /// any sound-rewrite declines and fall through to record + publish.
-    fn materialize_temps_cached(&mut self, ctx: &CacheCtx, plan: &TransformPlan) -> Result<()> {
-        let Some(keys) = temp_keys(&plan.temps, |t| self.base.table_generation(t)) else {
-            // A base table without a generation stamp can't be invalidated
-            // soundly; run uncached.
-            return self.materialize_temps(plan, None);
-        };
-
-        // All-or-nothing: a recorded trace references the page ids its
-        // materialization saw, so mixing one temp's replay with another's
-        // live run would charge reads against pages that no longer line
-        // up. Either every temp replays or every temp runs and records.
-        if let Some(selected) = self.select_entries(ctx, &keys, false) {
-            ctx.cache.note_hits(keys.len() as u64);
-            return self.replay_selected(plan, &selected);
-        }
-
-        if ctx.rewrite {
-            // Same computation recorded under a different options
-            // fingerprint: contents are fingerprint-independent, the
-            // recorded I/O is not — rebuild from the cached tuples
-            // (counted writes only) instead of replaying.
-            if let Some(selected) = self.select_entries(ctx, &keys, true) {
-                ctx.cache.note_hits(keys.len() as u64);
-                return self.rebuild_selected(plan, &selected);
-            }
-            self.log_declines(ctx, &keys);
-        }
-
-        ctx.cache.note_misses(keys.len() as u64);
-        self.materialize_temps(plan, Some((ctx, &keys)))
-    }
-
-    /// Pick a consistent entry per temp, in creation order. Each entry's
-    /// recorded dependencies must name exactly the entries selected for
-    /// the earlier temps; any mismatch (or any missing temp) fails the
-    /// whole consult.
-    fn select_entries(
-        &self,
-        ctx: &CacheCtx,
-        keys: &[TempKey],
-        any_fingerprint: bool,
-    ) -> Option<Vec<Arc<TempEntry>>> {
-        let mut chosen: HashMap<String, u64> = HashMap::new();
-        let mut selected = Vec::with_capacity(keys.len());
-        for key in keys {
-            let (id, entry) = if any_fingerprint {
-                ctx.cache.find_temp_any_fingerprint(
-                    &key.text,
-                    &ctx.fingerprint,
-                    &key.bases,
-                    ctx.epoch,
-                )?
-            } else {
-                ctx.cache.find_temp(&key.text, &ctx.fingerprint, &key.bases, ctx.epoch)?
-            };
-            if !entry.deps.iter().all(|(n, did)| chosen.get(n) == Some(did)) {
-                return None;
-            }
-            chosen.insert(key.name.to_ascii_uppercase(), id);
-            selected.push(entry);
-        }
-        Some(selected)
-    }
-
-    /// Exact-hit path: recharge each temp's recorded page-event sequence
-    /// and register the rebuilt (replayed-page) file. `pid_map` spans the
-    /// whole plan so later temps' recorded reads of earlier temps land on
-    /// their replayed pages.
-    fn replay_selected(&mut self, plan: &TransformPlan, selected: &[Arc<TempEntry>]) -> Result<()> {
-        let mut pid_map: HashMap<nsql_storage::PageId, nsql_storage::PageId> = HashMap::new();
-        for (temp, entry) in plan.temps.iter().zip(selected) {
-            let exec = self.exec.clone();
-            let file = observed(
-                &exec,
-                &format!("materialize {}", temp.name),
-                0,
-                |f: &HeapFile| f.tuple_count() as u64,
-                || -> Result<HeapFile> {
-                    Ok(replay_temp(exec.storage(), entry, &mut pid_map))
-                },
-            )?;
-            self.log_materialize(&temp.name, &file, &entry.sorted_by);
-            self.log.push(format!(
-                "cache: hit {} (exact; replayed {} page events)",
-                temp.name,
-                entry.trace.len()
-            ));
-            self.register_temp(
-                &temp.name,
-                PlanOutput { file, sorted_by: entry.sorted_by.clone(), indexes: vec![] },
-            );
-        }
-        Ok(())
-    }
-
-    /// Derived-hit path (rewrite mode): rewrite the cached tuples into a
-    /// fresh heap file. Stored tuple order is the recorded output order,
-    /// so the entry's sort metadata stays physically true.
-    fn rebuild_selected(&mut self, plan: &TransformPlan, selected: &[Arc<TempEntry>]) -> Result<()> {
-        for (temp, entry) in plan.temps.iter().zip(selected) {
-            let exec = self.exec.clone();
-            let file = observed(
-                &exec,
-                &format!("materialize {}", temp.name),
-                0,
-                |f: &HeapFile| f.tuple_count() as u64,
-                || -> Result<HeapFile> {
-                    let tuples: Vec<Tuple> = entry
-                        .output_pages
-                        .iter()
-                        .flat_map(|(_, ts)| ts.iter().cloned())
-                        .collect();
-                    Ok(HeapFile::from_tuples(exec.storage(), entry.schema.clone(), tuples))
-                },
-            )?;
-            self.log_materialize(&temp.name, &file, &entry.sorted_by);
-            self.log.push(format!(
-                "cache: derived hit {} (rebuilt from cached aggregate view; I/O differs from a cold run)",
-                temp.name
-            ));
-            self.register_temp(
-                &temp.name,
-                PlanOutput { file, sorted_by: entry.sorted_by.clone(), indexes: vec![] },
-            );
-        }
-        Ok(())
-    }
-
-    /// Report why cached aggregate views could *not* answer this plan's
-    /// aggregate temps — the Cohen-style soundness check in the negative.
-    /// Declines are always sound: nothing is served here.
-    fn log_declines(&mut self, ctx: &CacheCtx, keys: &[TempKey]) {
-        for key in keys {
-            let Some(requested) = &key.view else { continue };
-            for cand in ctx.cache.agg_views(ctx.epoch) {
-                let Some(view) = &cand.view else { continue };
-                match judge_rewrite(requested, view) {
-                    RewriteJudgement::Decline(reason) => {
-                        ctx.cache.note_decline();
-                        self.log.push(format!("cache: decline {}: {reason}", key.name));
-                        break;
-                    }
-                    RewriteJudgement::Sound if cand.text != key.text => {
-                        ctx.cache.note_decline();
-                        self.log.push(format!(
-                            "cache: decline {}: view shape matches a cached aggregate, \
-                             but the plan texts differ; exact-text policy declines the rewrite",
-                            key.name
-                        ));
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-        }
     }
 
     fn log_materialize(&mut self, name: &str, file: &HeapFile, sorted_by: &[usize]) {

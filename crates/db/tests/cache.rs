@@ -1,10 +1,8 @@
-//! End-to-end behavior of the cross-query result cache: exact hits are
+//! End-to-end behavior of the cross-query result cache: hits are
 //! invisible (results *and* counted I/O identical to cache-off), DML and
-//! reopen invalidate precisely, a tiny byte budget evicts, and the
-//! Rewrite mode's soundness check declines the COUNT-bug and exact-float
-//! hazards with a stated reason.
+//! reopen invalidate precisely, a tiny byte budget evicts, and EXPLAIN
+//! names the cache only under the strategies that consult it.
 
-use nsql_core::{JaVariant, UnnestOptions};
 use nsql_db::{CacheMode, Database, QueryCache, QueryOptions, Strategy};
 use nsql_testkit::TempDir;
 use std::sync::Arc;
@@ -20,18 +18,6 @@ const SETUP: &str = "CREATE TABLE PARTS (PNUM INT, QOH INT);
 /// Kiessling's Q2 — the COUNT-bug query.
 const Q2: &str = "SELECT PNUM FROM PARTS WHERE QOH = \
     (SELECT COUNT(SHIPDATE) FROM SUPPLY \
-     WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < 1-1-80)";
-
-/// Same shape with SUM — a type-JA query whose NEST-JA2 plan takes the
-/// regular (inner) join, so its aggregate view does not preserve empty
-/// groups.
-const Q_SUM: &str = "SELECT PNUM FROM PARTS WHERE QOH = \
-    (SELECT SUM(QUAN) FROM SUPPLY \
-     WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < 1-1-80)";
-
-/// Same shape with AVG — the exact-float rewrite hazard.
-const Q_AVG: &str = "SELECT PNUM FROM PARTS WHERE QOH = \
-    (SELECT AVG(QUAN) FROM SUPPLY \
      WHERE SUPPLY.PNUM = PARTS.PNUM AND SHIPDATE < 1-1-80)";
 
 fn mem_db() -> Database {
@@ -80,22 +66,6 @@ fn cache_is_invisible_to_results_and_io() {
             );
         }
     }
-}
-
-#[test]
-fn transform_second_run_is_a_replayed_hit() {
-    let db = mem_db();
-    let on = opts(&Strategy::Transform, CacheMode::On);
-    let first = db.query_with(Q2, &on).unwrap();
-    let log = first.explain.join("\n");
-    assert!(log.contains("cache: mode on"), "{log}");
-    assert!(log.contains("cache: miss"), "first run must record+publish:\n{log}");
-    let second = db.query_with(Q2, &on).unwrap();
-    let log = second.explain.join("\n");
-    assert!(log.contains("cache: hit"), "second run must replay:\n{log}");
-    assert!(second.relation.same_bag(&first.relation));
-    assert_eq!((second.io.reads, second.io.writes), (first.io.reads, first.io.writes));
-    assert!(db.result_cache().stats().hits > 0);
 }
 
 #[test]
@@ -148,21 +118,21 @@ fn insert_between_identical_queries_invalidates() {
 fn reopen_starts_fresh_epoch_and_invalidates() {
     let dir = TempDir::new("nsql-cache-reopen");
     let shared = Arc::new(QueryCache::with_defaults());
-    let on = opts(&Strategy::Transform, CacheMode::On);
+    let on = opts(&Strategy::NestedIteration, CacheMode::On);
     {
         let mut db = Database::open(dir.path()).unwrap();
         db.set_result_cache(Arc::clone(&shared));
         db.execute_script(SETUP).unwrap();
         let _ = db.query_with(Q2, &on).unwrap();
         let warm = db.query_with(Q2, &on).unwrap();
-        assert!(warm.explain.join("\n").contains("cache: hit"));
+        assert!(warm.explain.join("\n").contains("inner-block 3 hit(s), 0 miss(es)"));
     }
     let mut db = Database::open(dir.path()).unwrap();
     db.set_result_cache(Arc::clone(&shared));
     let got = db.query_with(Q2, &on).unwrap();
     let log = got.explain.join("\n");
     assert!(
-        log.contains("cache: miss"),
+        log.contains("inner-block 0 hit(s), 3 miss(es)"),
         "pre-reopen entry answered across an epoch boundary:\n{log}"
     );
     assert_eq!(col0_sorted(&got.relation), vec!["10", "8"]);
@@ -174,8 +144,8 @@ fn reopen_starts_fresh_epoch_and_invalidates() {
 fn eviction_under_one_page_budget() {
     let mut db = mem_db();
     db.set_result_cache(Arc::new(QueryCache::new(512)));
-    let on = opts(&Strategy::Transform, CacheMode::On);
-    let off = opts(&Strategy::Transform, CacheMode::Off);
+    let on = opts(&Strategy::NestedIteration, CacheMode::On);
+    let off = opts(&Strategy::NestedIteration, CacheMode::Off);
     for _ in 0..3 {
         let got = db.query_with(Q2, &on).unwrap();
         let want = db.query_with(Q2, &off).unwrap();
@@ -187,75 +157,22 @@ fn eviction_under_one_page_budget() {
     assert!(stats.bytes <= 512, "budget exceeded: {stats:?}");
 }
 
-/// The COUNT-bug guard: a view materialized by Kim's buggy NEST-JA drops
-/// empty groups. A later NEST-JA2 COUNT query (which must preserve them)
-/// may not be answered from it — the rewrite check declines with the
-/// count-bug reason and the query recomputes correctly.
-#[test]
-fn rewrite_declines_count_bug_sensitive_view() {
-    let db = mem_db();
-    let kim = QueryOptions {
-        unnest: UnnestOptions { ja_variant: JaVariant::KimOriginal, ..UnnestOptions::default() },
-        ..opts(&Strategy::Transform, CacheMode::On)
-    };
-    // Kim's answer is wrong (part 8 lost — the COUNT bug), but it does
-    // publish an aggregate view over the same group/filter shape.
-    let buggy = db.query_with(Q2, &kim).unwrap();
-    assert_eq!(col0_sorted(&buggy.relation), vec!["10"]);
-    let rewrite = opts(&Strategy::Transform, CacheMode::Rewrite);
-    let got = db.query_with(Q2, &rewrite).unwrap();
-    let log = got.explain.join("\n");
-    assert!(
-        log.contains("count-bug"),
-        "expected a count-bug decline in explain:\n{log}"
-    );
-    assert_eq!(col0_sorted(&got.relation), vec!["10", "8"], "declined query must recompute");
-    assert!(db.result_cache().stats().declines > 0);
-}
-
-/// The exact-float guard: AVG is never derived from a cached SUM view.
-#[test]
-fn rewrite_declines_avg_from_cached_sum() {
-    let db = mem_db();
-    let on = opts(&Strategy::Transform, CacheMode::On);
-    let _ = db.query_with(Q_SUM, &on).unwrap();
-    let rewrite = opts(&Strategy::Transform, CacheMode::Rewrite);
-    let off = opts(&Strategy::Transform, CacheMode::Off);
-    let got = db.query_with(Q_AVG, &rewrite).unwrap();
-    let want = db.query_with(Q_AVG, &off).unwrap();
-    let log = got.explain.join("\n");
-    assert!(
-        log.contains("exact-float"),
-        "expected the exact-float decline in explain:\n{log}"
-    );
-    assert!(got.relation.same_bag(&want.relation));
-}
-
-/// An identical re-run under Rewrite mode is still served as an *exact*
-/// replayed hit (rewrite subsumes exact), with identical I/O.
-#[test]
-fn rewrite_mode_still_serves_exact_hits() {
-    let db = mem_db();
-    let rw = opts(&Strategy::Transform, CacheMode::Rewrite);
-    let first = db.query_with(Q2, &rw).unwrap();
-    let second = db.query_with(Q2, &rw).unwrap();
-    assert!(second.explain.join("\n").contains("cache: hit"));
-    assert!(second.relation.same_bag(&first.relation));
-    assert_eq!((second.io.reads, second.io.writes), (first.io.reads, first.io.writes));
-}
-
 /// EXPLAIN ANALYZE under an enabled cache carries the lifetime cache
-/// counters as an observability event, and plain EXPLAIN renders the
-/// cache-mode header for both strategies (the per-strategy parity fix).
+/// counters as an observability event for both strategies. Plain EXPLAIN
+/// and ANALYZE print the cache-mode header under nested iteration, which
+/// consults the cache, and omit it under transform, which does not.
 #[test]
-fn explain_renders_cache_lines_for_both_strategies() {
+fn explain_names_the_cache_only_where_it_is_consulted() {
     let db = mem_db();
     for strategy in [Strategy::NestedIteration, Strategy::Transform] {
+        let consulted = strategy == Strategy::NestedIteration;
         let on = opts(&strategy, CacheMode::On);
         let plain = db.explain_query(Q2, false, &on).unwrap();
         let text = plain.render_lines().join("\n");
-        assert!(text.contains("cache: mode on"), "{strategy:?} plain EXPLAIN:\n{text}");
+        assert_eq!(text.contains("cache: mode on"), consulted, "{strategy:?} EXPLAIN:\n{text}");
         let analyzed = db.explain_query(Q2, true, &on).unwrap();
+        let text = analyzed.render_lines().join("\n");
+        assert_eq!(text.contains("cache: mode on"), consulted, "{strategy:?} ANALYZE:\n{text}");
         let obs = analyzed.obs.expect("ANALYZE collects observability");
         assert!(
             obs.events.iter().any(|e| e.contains("cache:") && e.contains("lifetime")),

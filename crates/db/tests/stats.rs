@@ -112,7 +112,7 @@ fn percentiles_match_exact_sort_oracle_end_to_end() {
         )
         .unwrap();
     assert_eq!(rel.len(), 1);
-    let mut sorted = samples.clone();
+    let mut sorted = samples;
     sorted.sort_unstable();
     for (col, p) in [(0usize, 50u64), (1, 95), (2, 99)] {
         // Nearest-rank oracle, then map the chosen sample through its
@@ -215,7 +215,12 @@ fn index_probes_are_attributed() {
 #[test]
 fn cache_counters_have_one_source_of_truth() {
     let db = mem_db();
-    let opts = QueryOptions { cache: CacheMode::On, cold_start: true, ..Default::default() };
+    let opts = QueryOptions {
+        strategy: Strategy::NestedIteration,
+        cache: CacheMode::On,
+        cold_start: true,
+        ..Default::default()
+    };
     let q = nsql_sql::parse_query(Q2).unwrap();
     db.run_query(&q, &opts).unwrap(); // cold: misses populate
     db.run_query(&q, &opts).unwrap(); // warm: hits serve

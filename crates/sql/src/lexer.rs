@@ -112,10 +112,18 @@ pub fn lex(src: &str) -> Result<Vec<Token>, ParseError> {
                         .map_err(|_| ParseError::new(start, format!("bad float literal {text:?}")))?;
                     tokens.push(Token { offset: start, kind: TokenKind::Float(v) });
                 } else {
+                    // Integers lex as magnitudes; the parser applies the
+                    // sign. 2^63, the magnitude of `i64::MIN`, has no
+                    // positive `i64`, so it lexes as `Int(i64::MIN)` and the
+                    // parser accepts it only after a minus sign.
                     let text = &src[i..end];
-                    let v: i64 = text
-                        .parse()
-                        .map_err(|_| ParseError::new(start, format!("bad integer literal {text:?}")))?;
+                    let v = match text.parse::<u64>() {
+                        Ok(v) if v <= i64::MIN.unsigned_abs() => v as i64,
+                        _ => {
+                            let msg = format!("bad integer literal {text:?}");
+                            return Err(ParseError::new(start, msg));
+                        }
+                    };
                     tokens.push(Token { offset: start, kind: TokenKind::Int(v) });
                 }
                 i = end;

@@ -364,7 +364,13 @@ impl Parser {
         if !negative {
             self.eat(&T::Plus);
         }
+        let at = self.offset();
         match self.advance() {
+            // Only `-9223372036854775808` lexes to a negative token.
+            T::Int(v) if v < 0 && !negative => {
+                let msg = format!("bad integer literal \"{}\"", v.unsigned_abs());
+                Err(ParseError::new(at, msg))
+            }
             T::Int(v) => {
                 // Bare date literal? `Int (-|/) Int (-|/) Int`.
                 if !negative {
@@ -372,7 +378,7 @@ impl Parser {
                         return Ok(Value::Date(date));
                     }
                 }
-                Ok(Value::Int(if negative { -v } else { v }))
+                Ok(Value::Int(if negative { v.wrapping_neg() } else { v }))
             }
             T::Float(v) => Ok(Value::Float(if negative { -v } else { v })),
             T::Str(s) if !negative => Ok(Value::Str(s)),
@@ -393,7 +399,7 @@ impl Parser {
         if *self.peek_at(2) != sep {
             return Ok(None);
         }
-        let (T::Int(mid), T::Int(last)) = (second, fourth) else {
+        let (T::Int(mid @ 0..), T::Int(last @ 0..)) = (second, fourth) else {
             return Ok(None);
         };
         let start = self.offset();
@@ -403,9 +409,13 @@ impl Parser {
         let last_width = last_token_width(last);
         self.advance(); // last
         let year = if last_width <= 2 { 1900 + last } else { last };
-        Date::new(year as i32, first as u8, mid as u8)
-            .map(Some)
-            .map_err(|e| ParseError::new(start, e.to_string()))
+        let (Ok(year), Ok(month), Ok(day)) =
+            (i32::try_from(year), u8::try_from(first), u8::try_from(mid))
+        else {
+            let msg = format!("date component out of range in {first}, {mid}, {last}");
+            return Err(ParseError::new(start, msg));
+        };
+        Date::new(year, month, day).map(Some).map_err(|e| ParseError::new(start, e.to_string()))
     }
 
     // ---------------------------------------------------------------- predicates
@@ -854,6 +864,39 @@ mod tests {
         let Statement::Insert { rows, .. } = s else { panic!() };
         let Value::Date(d) = &rows[0][0] else { panic!() };
         assert_eq!(d.year(), 1979);
+    }
+
+    #[test]
+    fn i64_extremes_round_trip() {
+        let literal = |sql: &str| {
+            let q = parse_query(&format!("SELECT A FROM T WHERE A = {sql}"))?;
+            let Some(Predicate::Compare { right: Operand::Literal(v), .. }) = q.where_clause
+            else {
+                panic!("{sql}: not a comparison with a literal")
+            };
+            Ok::<Value, ParseError>(v)
+        };
+        assert_eq!(literal("-9223372036854775808").unwrap(), Value::Int(i64::MIN));
+        assert_eq!(literal("9223372036854775807").unwrap(), Value::Int(i64::MAX));
+        assert_eq!(literal("-9223372036854775807").unwrap(), Value::Int(-i64::MAX));
+        for bad in ["9223372036854775808", "+9223372036854775808", "-9223372036854775809"] {
+            let e = literal(bad).unwrap_err();
+            assert!(e.to_string().contains("bad integer literal"), "{bad}: {e}");
+            // The error points at the digits, as a lexer error does.
+            assert_eq!(e.offset, 26 + bad.find(|c: char| c.is_ascii_digit()).unwrap(), "{bad}");
+        }
+        // The printer's rendering of `i64::MIN` parses back to it.
+        let q = parse_query("SELECT A FROM T WHERE A = -9223372036854775808").unwrap();
+        assert_eq!(parse_query(&crate::print_query(&q)).unwrap(), q);
+    }
+
+    #[test]
+    fn out_of_range_date_components_are_errors() {
+        // Each would wrap to 1980-01-01 under a truncating cast.
+        for bad in ["257-1-80", "1-257-80", "1-1-4294969276"] {
+            let sql = format!("INSERT INTO T VALUES ({bad})");
+            assert!(parse_statement(&sql).is_err(), "{bad} must not parse");
+        }
     }
 
     #[test]

@@ -116,7 +116,8 @@ pub enum TokenKind {
     Keyword(Keyword),
     /// A non-keyword identifier, stored as written.
     Ident(String),
-    /// An integer literal.
+    /// An integer literal's magnitude (a sign is a separate token);
+    /// `i64::MIN` stands for 2^63, which only a leading minus makes valid.
     Int(i64),
     /// A float literal.
     Float(f64),

@@ -64,10 +64,9 @@ pub enum TraceEvent {
     /// the same as [`TraceEvent::Read`] but replay must not populate the
     /// buffer, so the two are distinguished in the event stream.
     ReadDirect(PageId),
-    /// A page write (`write_new_page`) of the given fresh page. Trace-mode
-    /// replay charges the counter only — the page itself was already written
-    /// physically during tracing. Result-cache replay allocates a *new*
-    /// page per event and maps old→new ids.
+    /// A page write (`write_new_page`) of the given fresh page. Replay
+    /// charges the counter only — the page itself was already written
+    /// physically during tracing.
     Write(PageId),
     /// A page free (`free_page`). Freeing counts no I/O, but it evicts the
     /// page from the buffer, so a faithful replay must reproduce it.
@@ -94,14 +93,6 @@ struct StorageInner {
     /// Present when the backend is the durable file store (commit,
     /// checkpoint, and fault-injection APIs hang off it).
     durable: Option<Arc<FileStore>>,
-    /// When set, every *counted* I/O on this handle (and its clones) is
-    /// also appended to `record_sink`. The result cache uses this to
-    /// capture the exact page-access sequence of a temp materialization;
-    /// a later cache hit replays the sequence so the counted I/O and
-    /// buffer evolution are identical to a re-execution. One relaxed
-    /// atomic load per I/O when off.
-    recording: std::sync::atomic::AtomicBool,
-    record_sink: Mutex<Vec<TraceEvent>>,
 }
 
 /// Facade over the simulated disk and buffer pool.
@@ -128,8 +119,6 @@ impl Storage {
                 page_size,
                 mode: IoMode::Counted,
                 durable: None,
-                recording: std::sync::atomic::AtomicBool::new(false),
-                record_sink: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -166,8 +155,6 @@ impl Storage {
                 page_size,
                 mode: IoMode::Counted,
                 durable: Some(store),
-                recording: std::sync::atomic::AtomicBool::new(false),
-                record_sink: Mutex::new(Vec::new()),
             }),
         };
         Ok((storage, report))
@@ -208,8 +195,6 @@ impl Storage {
                 page_size: self.inner.page_size,
                 mode: IoMode::Trace(sink),
                 durable: self.inner.durable.clone(),
-                recording: std::sync::atomic::AtomicBool::new(false),
-                record_sink: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -236,29 +221,6 @@ impl Storage {
     /// uncounted during tracing.
     pub fn charge_write(&self) {
         self.inner.disk.charge_write();
-    }
-
-    /// Start mirroring every counted I/O on this handle into an internal
-    /// event sink (see [`Storage::take_recording`]). Recording is a pure
-    /// side channel: it never touches the I/O counters or the buffer.
-    pub fn start_recording(&self) {
-        self.inner.record_sink.lock().unwrap_or_else(PoisonError::into_inner).clear();
-        self.inner.recording.store(true, std::sync::atomic::Ordering::Release);
-    }
-
-    /// Stop recording and return the captured counted-I/O event sequence.
-    pub fn take_recording(&self) -> Vec<TraceEvent> {
-        self.inner.recording.store(false, std::sync::atomic::Ordering::Release);
-        std::mem::take(
-            &mut *self.inner.record_sink.lock().unwrap_or_else(PoisonError::into_inner),
-        )
-    }
-
-    #[inline]
-    fn record(&self, ev: TraceEvent) {
-        if self.inner.recording.load(std::sync::atomic::Ordering::Acquire) {
-            self.inner.record_sink.lock().unwrap_or_else(PoisonError::into_inner).push(ev);
-        }
     }
 
     /// The page size in bytes.
@@ -314,7 +276,7 @@ impl Storage {
     /// Read a page through the buffer pool.
     ///
     /// System pages (ids ≥ [`disk::SYSTEM_PAGE_BASE`]) take a side path:
-    /// uncounted, unbuffered, untraced, unrecorded. The check is one
+    /// uncounted, unbuffered, untraced. The check is one
     /// integer compare on the id, and ordinary pages can never alias the
     /// range, so the hot path is unchanged for real relations.
     pub fn read_page(&self, id: PageId) -> Arc<Page> {
@@ -322,10 +284,7 @@ impl Storage {
             return self.inner.disk.read_system(id);
         }
         match &self.inner.mode {
-            IoMode::Counted => {
-                self.record(TraceEvent::Read(id));
-                self.buffer().get(id)
-            }
+            IoMode::Counted => self.buffer().get(id),
             IoMode::Trace(_) => {
                 self.trace(TraceEvent::Read(id));
                 self.inner.disk.read_uncounted(id)
@@ -341,10 +300,7 @@ impl Storage {
             return self.inner.disk.read_system(id);
         }
         match &self.inner.mode {
-            IoMode::Counted => {
-                self.record(TraceEvent::ReadDirect(id));
-                self.inner.disk.read(id)
-            }
+            IoMode::Counted => self.inner.disk.read(id),
             IoMode::Trace(_) => {
                 self.trace(TraceEvent::ReadDirect(id));
                 self.inner.disk.read_uncounted(id)
@@ -352,26 +308,12 @@ impl Storage {
         }
     }
 
-    /// Read a page's tuples without counting, without touching the buffer,
-    /// and without recording. This is a side channel for observability and
-    /// result-cache publication (capturing a freshly materialized temp's
-    /// contents); it must never be used on a query-execution path.
-    pub fn read_page_tuples_uncounted(&self, id: PageId) -> Vec<Tuple> {
-        if id.is_system() {
-            return self.inner.disk.read_system(id).tuples().to_vec();
-        }
-        self.inner.disk.read_uncounted(id).tuples().to_vec()
-    }
-
     /// Allocate and write a fresh page directly to disk (write-around:
     /// freshly written pages are not cached).
     pub fn write_new_page(&self, tuples: Vec<Tuple>) -> PageId {
         let id = self.inner.disk.alloc();
         match &self.inner.mode {
-            IoMode::Counted => {
-                self.record(TraceEvent::Write(id));
-                self.inner.disk.write(id, Page::new(tuples))
-            }
+            IoMode::Counted => self.inner.disk.write(id, Page::new(tuples)),
             IoMode::Trace(_) => {
                 // Physical write so later scans can see the page; the I/O
                 // charge happens at replay via `charge_write`.
@@ -411,18 +353,15 @@ impl Storage {
     }
 
     /// Free a page (drops it from the buffer too). Freeing counts no I/O,
-    /// but it is recorded/traced: dropping a page from the buffer frees a
-    /// frame, so a faithful replay must reproduce it.
+    /// but it is traced: dropping a page from the buffer frees a frame, so
+    /// a faithful replay must reproduce it.
     pub fn free_page(&self, id: PageId) {
         if id.is_system() {
             // System pages never enter the buffer and are never traced.
             self.inner.disk.free_system(id);
             return;
         }
-        match &self.inner.mode {
-            IoMode::Counted => self.record(TraceEvent::Free(id)),
-            IoMode::Trace(_) => self.trace(TraceEvent::Free(id)),
-        }
+        self.trace(TraceEvent::Free(id));
         self.buffer().evict(id);
         self.inner.disk.free(id);
     }
@@ -667,50 +606,10 @@ mod tests {
     }
 
     #[test]
-    fn counted_recording_mirrors_io_without_perturbing_it() {
-        let st = Storage::new(3, 512);
-        let rel = int_relation(60);
-        let f = st.store_relation(&rel);
-        st.clear_buffer();
-        st.reset_stats();
-
-        // Recorded run: scan, write a page, free it, direct-read a page.
-        st.start_recording();
-        for &id in f.page_ids() {
-            let _ = st.read_page(id);
-        }
-        let tmp = st.write_new_page(vec![Tuple::new(vec![Value::Int(1)])]);
-        let _ = st.read_page_direct(f.page_ids()[0]);
-        st.free_page(tmp);
-        let recorded = st.take_recording();
-        let want = st.io_stats();
-
-        let mut expect: Vec<TraceEvent> =
-            f.page_ids().iter().map(|&id| TraceEvent::Read(id)).collect();
-        expect.push(TraceEvent::Write(tmp));
-        expect.push(TraceEvent::ReadDirect(f.page_ids()[0]));
-        expect.push(TraceEvent::Free(tmp));
-        assert_eq!(recorded, expect);
-
-        // An identical unrecorded run counts exactly the same.
-        st.clear_buffer();
-        st.reset_stats();
-        for &id in f.page_ids() {
-            let _ = st.read_page(id);
-        }
-        let tmp2 = st.write_new_page(vec![Tuple::new(vec![Value::Int(1)])]);
-        let _ = st.read_page_direct(f.page_ids()[0]);
-        st.free_page(tmp2);
-        assert_eq!(st.io_stats(), want, "recording must not change counted I/O");
-        assert!(st.take_recording().is_empty(), "recording was off for the second run");
-    }
-
-    #[test]
     fn system_pages_are_invisible_to_counters_and_traces() {
         let st = Storage::with_defaults();
         let rel = int_relation(80);
         st.reset_stats();
-        st.start_recording();
         let sink = Arc::new(Mutex::new(Vec::new()));
         let tv = st.trace_view(Arc::clone(&sink));
 
@@ -723,18 +622,16 @@ mod tests {
         for &id in f.page_ids() {
             let _ = st.read_page_direct(id);
             let _ = tv.read_page(id);
-            assert_eq!(st.read_page_tuples_uncounted(id).len(), st.read_page(id).len());
         }
         assert_eq!(st.system_pages(), f.page_count());
         f.drop_pages(&st);
         assert_eq!(st.system_pages(), 0);
 
-        // Not one counter, recorded event, trace event, buffered frame, or
-        // ordinary live page moved.
+        // Not one counter, trace event, buffered frame, or ordinary live
+        // page moved.
         assert_eq!(st.io_stats().total(), 0);
         let snap = st.io_snapshot();
         assert_eq!((snap.hits, snap.misses), (0, 0));
-        assert!(st.take_recording().is_empty());
         assert!(sink.lock().unwrap().is_empty());
         assert_eq!(st.resident_pages(), 0);
         assert_eq!(st.live_pages(), 0);

@@ -79,11 +79,12 @@ for bin in figure1 figure2 section7 ablation bugs extensions sweep; do
 done
 
 echo "==> figure/table binaries are byte-identical cache-on vs cache-off"
-# Exact-hit caching recharges the recorded page-event sequence instead of
-# skipping it, so enabling the cache must not move a single counted I/O or
+# A cached inner-block hit recharges the block's inner-scan page sequence
+# instead of skipping it, and only nested iteration and batched evaluation
+# consult the cache, so enabling it must not move a single counted I/O or
 # row anywhere in the figures. The `bugs` binary is exempt for the same
-# reason as the exec-mode loop: its EXPLAIN output intentionally gains
-# "cache: ..." lines.
+# reason as the exec-mode loop: its nested-iteration EXPLAIN output
+# intentionally gains "cache: ..." lines.
 for bin in figure1 figure2 section7 ablation extensions sweep; do
     NSQL_CACHE=on NSQL_THREADS=1 \
         cargo run --release --offline -q -p nsql-bench --bin "$bin" \
@@ -179,8 +180,9 @@ RUSTFLAGS="-D warnings" cargo check -p nsql-testkit --all-targets --offline
 echo "==> hot-path crates carry no redundant clones (clippy)"
 # nsql-core is included for the rule engine and cost model: rule firings
 # clone plan fragments, and a redundant clone there multiplies per query.
+# nsql-db is included for plan_exec, which holds the transform path's loops.
 cargo clippy -p nsql-engine -p nsql-storage -p nsql-index -p nsql-vec -p nsql-cache \
-    -p nsql-core \
+    -p nsql-core -p nsql-db \
     --all-targets --offline -- -D clippy::redundant_clone
 
 echo "==> bench smoke (every ablation-matrix cell once, untimed, results discarded)"

@@ -939,14 +939,14 @@ pub fn check_case(case: &DiffCase) -> CaseOutcome {
 
 // ------------------------------------------- the cache-transparency checker
 
-/// Cache transparency under interleaved DML: every generated query runs on
-/// a cache-off database and (twice — once to populate, once to hit) on a
+/// Cache transparency under interleaved DML: every generated query runs
+/// under nested iteration (the strategy that consults the cache) on a
+/// cache-off database and (twice — once to populate, once to hit) on a
 /// cache-on database, with deterministic random INSERTs into every table
 /// between rounds. The cache-on runs must be **bit-identical** to the
 /// cache-off run in both rows and counted page I/O, and the cache-off run
-/// must agree with the oracle under the standard license policy — so a
-/// stale cache entry surviving the inserts shows up as a three-way
-/// divergence, not a silent wrong answer.
+/// must agree with the oracle — so a stale cache entry surviving the
+/// inserts shows up as a three-way divergence, not a silent wrong answer.
 pub fn check_cache_dml_case(case: &DiffCase) -> CaseOutcome {
     let sql = nsql_sql::print_query(&case.query);
     let mut tables: Vec<(String, Relation)> = case.tables.clone();
@@ -962,9 +962,6 @@ pub fn check_cache_dml_case(case: &DiffCase) -> CaseOutcome {
     if nsql_analyzer::validate_query(db_off.catalog(), &case.query).is_err() {
         return CaseOutcome::Agree(Vec::new());
     }
-    let agg_or_exists = has_agg_or_exists_subquery(&case.query);
-    let any_aggregate = has_any_aggregate(&case.query);
-
     // The DML stream is seeded from the query text (FNV-1a), so a replayed
     // or shrunk case interleaves exactly the same inserts.
     let mut seed = 0xcbf29ce484222325u64;
@@ -974,17 +971,16 @@ pub fn check_cache_dml_case(case: &DiffCase) -> CaseOutcome {
     }
     let mut rng = Rng::from_seed(seed);
 
-    let base = |strategy: Strategy| QueryOptions {
-        strategy,
+    let pipeline = "ni-cache";
+    let opts = QueryOptions {
+        strategy: Strategy::NestedIteration,
         cold_start: true,
         threads: 1,
         exec_mode: ExecMode::Row,
         ..Default::default()
     };
-    let variants = [
-        ("ni-cache", base(Strategy::NestedIteration), false),
-        ("tr-cache", base(Strategy::Transform), true),
-    ];
+    let off_opts = QueryOptions { cache: CacheMode::Off, ..opts.clone() };
+    let on_opts = QueryOptions { cache: CacheMode::On, ..opts };
 
     let mut report = Vec::new();
     for round in 0..2 {
@@ -1011,115 +1007,65 @@ pub fn check_cache_dml_case(case: &DiffCase) -> CaseOutcome {
         for (name, rel) in &tables {
             oracle.load(name.clone(), rel.clone());
         }
-        let (oracle_rel, notes, oracle_card) = match oracle.eval_noted(&case.query) {
-            Ok((rel, notes)) => (Some(rel), notes, None),
-            Err(OracleError::ScalarSubqueryCardinality(n)) => (None, Notes::default(), Some(n)),
+        let oracle_res = match oracle.eval(&case.query) {
+            Ok(rel) => Ok(rel),
+            Err(OracleError::ScalarSubqueryCardinality(n)) => Err(n),
             Err(_) => return CaseOutcome::Agree(Vec::new()),
         };
 
-        for (name, opts, is_transform) in &variants {
-            let off_opts = QueryOptions { cache: CacheMode::Off, ..opts.clone() };
-            let on_opts = QueryOptions { cache: CacheMode::On, ..opts.clone() };
-            let off = db_off.run_query(&case.query, &off_opts);
-            // First cache-on run populates (miss), second one answers from
-            // the cache (hit) — both must be indistinguishable from off.
-            for label in ["populate", "hit"] {
-                let on = db_on.run_query(&case.query, &on_opts);
-                match (&off, &on) {
-                    (Ok(a), Ok(b)) => {
-                        if !a.relation.same_bag(&b.relation) {
-                            return CaseOutcome::Diverge(format!(
-                                "[{name}] round {round} ({label}): cache-on rows diverge \
-                                 from cache-off\n{sql}\noff:\n{}\non:\n{}\nexplain: {:#?}\n\
-                                 case:\n{case:?}",
-                                a.relation, b.relation, b.explain,
-                            ));
-                        }
-                        if (a.io.reads, a.io.writes) != (b.io.reads, b.io.writes) {
-                            return CaseOutcome::Diverge(format!(
-                                "[{name}] round {round} ({label}): cache-on I/O {:?} diverges \
-                                 from cache-off {:?}\n{sql}\nexplain: {:#?}\ncase:\n{case:?}",
-                                (b.io.reads, b.io.writes),
-                                (a.io.reads, a.io.writes),
-                                b.explain,
-                            ));
-                        }
-                    }
-                    (Err(a), Err(b)) if a.to_string() == b.to_string() => {}
-                    (a, b) => {
+        let off = db_off.run_query(&case.query, &off_opts);
+        // First cache-on run populates (miss), second one answers from the
+        // cache (hit) — both must be indistinguishable from off.
+        for label in ["populate", "hit"] {
+            let on = db_on.run_query(&case.query, &on_opts);
+            match (&off, &on) {
+                (Ok(a), Ok(b)) => {
+                    if !a.relation.same_bag(&b.relation) {
                         return CaseOutcome::Diverge(format!(
-                            "[{name}] round {round} ({label}): cache-off returned {a:?} but \
-                             cache-on returned {b:?}\n{sql}\ncase:\n{case:?}",
-                        ));
-                    }
-                }
-            }
-
-            // Oracle gate on the cache-off run, under the standard license
-            // policy (see `check_case`).
-            if let Some(n) = oracle_card {
-                if *is_transform {
-                    report.push((*name, SKIP));
-                    continue;
-                }
-                match &off {
-                    Err(nsql_db::DbError::Engine(EngineError::ScalarSubqueryCardinality(m)))
-                        if *m == n =>
-                    {
-                        report.push((*name, COMPARED));
-                    }
-                    other => {
-                        return CaseOutcome::Diverge(format!(
-                            "[{name}] round {round}: oracle raised \
-                             ScalarSubqueryCardinality({n}) but the pipeline returned \
-                             {other:?}\n{sql}\ncase:\n{case:?}",
-                        ))
-                    }
-                }
-                continue;
-            }
-            let oracle_rel = oracle_rel.as_ref().expect("no cardinality error");
-            if *is_transform
-                && (notes.all_over_empty_or_null
-                    || (notes.null_outer_ref && agg_or_exists)
-                    || (notes.dup_in_match && any_aggregate))
-            {
-                report.push((*name, SKIP));
-                continue;
-            }
-            match &off {
-                Err(nsql_db::DbError::Transform(_))
-                | Err(nsql_db::DbError::Engine(EngineError::Unsupported(_)))
-                | Err(nsql_db::DbError::Engine(EngineError::Type(_)))
-                | Err(nsql_db::DbError::Type(_))
-                    if *is_transform =>
-                {
-                    report.push((*name, SKIP))
-                }
-                Err(e) => {
-                    return CaseOutcome::Diverge(format!(
-                        "[{name}] round {round}: oracle succeeded but the pipeline errored: \
-                         {e}\n{sql}\noracle:\n{oracle_rel}\ncase:\n{case:?}",
-                    ))
-                }
-                Ok(out) => {
-                    let agree = if *is_transform && notes.dup_in_match {
-                        out.relation.same_set(oracle_rel)
-                    } else {
-                        out.relation.same_bag(oracle_rel)
-                    };
-                    if !agree {
-                        return CaseOutcome::Diverge(format!(
-                            "[{name}] round {round}: disagreement with the oracle\n{sql}\n\
-                             oracle:\n{oracle_rel}\npipeline:\n{}\nnotes: {notes:?}\n\
+                            "[{pipeline}] round {round} ({label}): cache-on rows diverge \
+                             from cache-off\n{sql}\noff:\n{}\non:\n{}\nexplain: {:#?}\n\
                              case:\n{case:?}",
-                            out.relation,
+                            a.relation, b.relation, b.explain,
                         ));
                     }
-                    report.push((*name, COMPARED));
+                    if (a.io.reads, a.io.writes) != (b.io.reads, b.io.writes) {
+                        return CaseOutcome::Diverge(format!(
+                            "[{pipeline}] round {round} ({label}): cache-on I/O {:?} diverges \
+                             from cache-off {:?}\n{sql}\nexplain: {:#?}\ncase:\n{case:?}",
+                            (b.io.reads, b.io.writes),
+                            (a.io.reads, a.io.writes),
+                            b.explain,
+                        ));
+                    }
+                }
+                (Err(a), Err(b)) if a.to_string() == b.to_string() => {}
+                (a, b) => {
+                    return CaseOutcome::Diverge(format!(
+                        "[{pipeline}] round {round} ({label}): cache-off returned {a:?} but \
+                         cache-on returned {b:?}\n{sql}\ncase:\n{case:?}",
+                    ));
                 }
             }
         }
+
+        // Oracle gate on the cache-off run: nested iteration is bag-equal
+        // to the oracle and raises the same scalar-cardinality errors,
+        // always (no divergence licenses).
+        match (&oracle_res, &off) {
+            (Ok(want), Ok(out)) if out.relation.same_bag(want) => {}
+            (
+                Err(n),
+                Err(nsql_db::DbError::Engine(EngineError::ScalarSubqueryCardinality(m))),
+            ) if m == n => {}
+            (want, got) => {
+                return CaseOutcome::Diverge(format!(
+                    "[{pipeline}] round {round}: oracle returned {want:?} but the pipeline \
+                     returned {:?}\n{sql}\ncase:\n{case:?}",
+                    got.as_ref().map(|o| &o.relation),
+                ))
+            }
+        }
+        report.push((pipeline, COMPARED));
     }
     CaseOutcome::Agree(report)
 }

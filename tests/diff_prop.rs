@@ -86,8 +86,8 @@ fn every_pipeline_agrees_with_the_oracle() {
 }
 
 /// Cache transparency under interleaved DML: every generated query runs
-/// cache-off once and cache-on twice (populate, then hit) on both
-/// strategies, with random INSERTs into every table between rounds. The
+/// cache-off once and cache-on twice (populate, then hit) under nested
+/// iteration, with random INSERTs into every table between rounds. The
 /// cache-on runs must be bit-identical to cache-off in rows *and* counted
 /// page I/O, and cache-off must agree with the oracle — a stale entry
 /// surviving the inserts fails three ways at once.
@@ -95,7 +95,7 @@ fn every_pipeline_agrees_with_the_oracle() {
 fn cache_is_transparent_under_interleaved_dml() {
     let stats = run_cache_dml_property("cache_is_transparent_under_interleaved_dml", 600);
     assert!(!stats.is_empty(), "sweep must have produced comparisons");
-    for v in ["ni-cache", "tr-cache"] {
+    for v in ["ni-cache"] {
         let s = stats
             .iter()
             .find(|s| s.name == v)
